@@ -19,14 +19,13 @@ from .model import (
     PromiseGraph,
     SourceSpan,
     Verdict,
-    visible_to,
+    _privy,
 )
 
 
 class FindingRule(Enum):
     UNBOUND_OFFER = "unbound-offer"
     UNBOUND_ACCEPT = "unbound-accept"
-    POLARITY_MISMATCH = "polarity-mismatch"
     SINGLE_SOURCE_ACCEPTANCE = "single-source-acceptance"
     SCOPE_HIDING = "scope-hiding"
     BEHALF_OF_VIOLATION = "behalf-of-violation"
@@ -103,77 +102,103 @@ class AnalysisReport:
     trust: TrustTable
 
 
-def _offers(graph: PromiseGraph) -> List[Tuple[int, Promise]]:
-    return [(i, p) for i, p in enumerate(graph.promises)
-            if p.body.polarity is Polarity.OFFER]
-
-
-def _accepts(graph: PromiseGraph) -> List[Tuple[int, Promise]]:
-    return [(i, p) for i, p in enumerate(graph.promises)
-            if p.body.polarity is Polarity.ACCEPT]
-
-
-def _mirrored(offer: Promise, accept: Promise) -> bool:
-    """Complementary endpoints on the same topic, by declared ids."""
-    return (offer.body.topic == accept.body.topic
-            and accept.promiser in offer.promisees
-            and offer.promiser in accept.promisees)
-
-
 def candidate_pairs(graph: PromiseGraph) -> List[Tuple[int, int]]:
     """All compatible (offer index, accept index) pairs, ordered
-    lexicographically by declaration index."""
+    lexicographically by declaration index: same topic, the accept's
+    promiser among the offer's promisees and vice versa, by declared ids."""
+    accepts_by_key: Dict[Tuple[str, str, str], List[int]] = {}
+    for ai, accept in enumerate(graph.promises):
+        if accept.body.polarity is Polarity.ACCEPT:
+            for promisee in accept.promisees:
+                key = (accept.body.topic, accept.promiser, promisee)
+                accepts_by_key.setdefault(key, []).append(ai)
     pairs: List[Tuple[int, int]] = []
-    accepts = _accepts(graph)
-    for oi, offer in _offers(graph):
-        for ai, accept in accepts:
-            if _mirrored(offer, accept):
-                pairs.append((oi, ai))
+    for oi, offer in enumerate(graph.promises):
+        if offer.body.polarity is Polarity.OFFER:
+            found: List[int] = []
+            for promisee in offer.promisees:
+                found.extend(accepts_by_key.get(
+                    (offer.body.topic, promisee, offer.promiser), ()))
+            pairs.extend((oi, ai) for ai in sorted(found))
     return pairs
 
 
-def _max_matching_size(pairs: Sequence[Tuple[int, int]]) -> int:
-    """Maximum bipartite matching size over candidate pairs (Kuhn's
-    augmenting paths; offers on the left, accepts on the right)."""
-    adjacency: Dict[int, List[int]] = {}
-    for oi, ai in pairs:
-        adjacency.setdefault(oi, []).append(ai)
-    match_of_accept: Dict[int, int] = {}
-
-    def augment(oi: int, visited: Set[int]) -> bool:
-        for ai in adjacency.get(oi, ()):
-            if ai in visited:
+def _augment(start: int, adjacency: Dict[int, List[int]], mate: Dict[int, int],
+             frozen: Set[int]) -> bool:
+    """Search for an alternating path from the unmatched vertex `start` to
+    another unmatched vertex, never entering a frozen one, and flip the
+    path's edges into `mate` when one exists. Offers and accepts share the
+    declaration-index space, so one walk serves both directions."""
+    visited: Set[int] = set()
+    path = [start]  # the vertices on start's side of the bipartition
+    via: List[int] = []  # via[i] joins path[i] to path[i + 1]
+    stack = [iter(adjacency[start])]
+    while stack:
+        for vertex in stack[-1]:
+            if vertex in visited or vertex in frozen:
                 continue
-            visited.add(ai)
-            if ai not in match_of_accept or augment(match_of_accept[ai], visited):
-                match_of_accept[ai] = oi
+            visited.add(vertex)
+            via.append(vertex)
+            partner = mate.get(vertex)
+            if partner is None:
+                for left, right in zip(path, via):
+                    mate[left] = right
+                    mate[right] = left
                 return True
-        return False
-
-    size = 0
-    for oi in adjacency:
-        if augment(oi, set()):
-            size += 1
-    return size
+            path.append(partner)
+            stack.append(iter(adjacency[partner]))
+            break
+        else:
+            stack.pop()
+            path.pop()
+            if via:
+                via.pop()
+    return False
 
 
 def bind(graph: PromiseGraph) -> List[Binding]:
     """The maximum offer/accept matching, choosing the lexicographically
-    earliest pairs (by declaration order) among equally large matchings."""
+    earliest pairs (by declaration order) among equally large matchings.
+
+    One maximum matching is solved up front. The pairs are then walked in
+    order while that matching stays maximum and holds every chosen pair; a
+    pair is chosen when the matching can be repaired to contain it without
+    shrinking, by one alternating path through the vertices not yet fixed.
+    """
     pairs = candidate_pairs(graph)
-    target = _max_matching_size(pairs)
-    chosen: List[Tuple[int, int]] = []
-    used_offers: Set[int] = set()
-    used_accepts: Set[int] = set()
+    adjacency: Dict[int, List[int]] = {}
     for oi, ai in pairs:
-        if oi in used_offers or ai in used_accepts:
+        adjacency.setdefault(oi, []).append(ai)
+        adjacency.setdefault(ai, []).append(oi)
+    mate: Dict[int, int] = {}
+    fixed: Set[int] = set()
+    for oi in dict.fromkeys(oi for oi, _ in pairs):
+        _augment(oi, adjacency, mate, fixed)
+
+    chosen: List[Tuple[int, int]] = []
+    for oi, ai in pairs:
+        if oi in fixed or ai in fixed:
             continue
-        rest = [(o, a) for o, a in pairs
-                if o != oi and a != ai and o not in used_offers and a not in used_accepts]
-        if len(chosen) + 1 + _max_matching_size(rest) == target:
-            chosen.append((oi, ai))
-            used_offers.add(oi)
-            used_accepts.add(ai)
+        old_accept, old_offer = mate.get(oi), mate.get(ai)
+        if old_accept is None or old_offer is None:
+            # one endpoint is unmatched: swapping the edge in keeps the size
+            mate.pop(old_accept, None)
+            mate.pop(old_offer, None)
+            mate[oi], mate[ai] = ai, oi
+        elif old_accept != ai:
+            # trade two matched edges for (oi, ai); the matching stays
+            # maximum only if a path from a freed vertex augments it
+            del mate[old_accept], mate[old_offer]
+            mate[oi], mate[ai] = ai, oi
+            fixed.update((oi, ai))
+            if not (_augment(old_offer, adjacency, mate, fixed)
+                    or _augment(old_accept, adjacency, mate, fixed)):
+                fixed.difference_update((oi, ai))
+                mate[oi], mate[old_accept] = old_accept, oi
+                mate[ai], mate[old_offer] = old_offer, ai
+                continue
+        chosen.append((oi, ai))
+        fixed.update((oi, ai))
     return [
         Binding(graph.promises[oi].id, graph.promises[ai].id, graph.promises[oi].body.topic)
         for oi, ai in chosen
@@ -271,7 +296,7 @@ def scope_audit(graph: PromiseGraph) -> List[Finding]:
     for promise in graph.promises:
         if not promise.body.affects:
             continue
-        visible = visible_to(graph, promise.id)
+        visible = _privy(graph, promise)
         for agent in sorted(promise.body.affects):
             if agent not in visible:
                 findings.append(Finding(

@@ -3,8 +3,10 @@ documents with CI-friendly exit codes.
 
 Exit code 0: success (and, for analyze/report, no finding at or above the
 --fail-on threshold). 1: findings at or above the threshold. 2: unusable
-input (parse, validation, IO, or flag errors). Diagnostics go to stderr,
-artifacts to stdout, so json/dot output can be piped safely.
+input (parse, validation, IO, or flag errors). 3: an internal error, a bug
+in promisegraph; it is reported as one `error: internal: <Type>: <message>`
+line, never as a traceback. Diagnostics go to stderr, artifacts to stdout,
+so json/dot output can be piped safely.
 """
 
 from __future__ import annotations
@@ -129,7 +131,17 @@ def run(argv: List[str], stdin: IO[str] = None, stdout: IO[str] = None,
     except SystemExit as exc:
         # argparse exits 2 on bad flags, 0 on --help
         return int(exc.code or 0)
+    try:
+        return _dispatch(args, stdin, stdout, stderr)
+    except Exception as exc:
+        # a crash must not pass for a finding (1) or for bad input (2)
+        message = " ".join(str(exc).splitlines())
+        print("error: internal: %s: %s" % (type(exc).__name__, message), file=stderr)
+        return 3
 
+
+def _dispatch(args: argparse.Namespace, stdin: IO[str], stdout: IO[str],
+              stderr: IO[str]) -> int:
     graph = _load_graph(args.input, stdin, stderr)
     if graph is None:
         return 2

@@ -29,8 +29,8 @@ from .model import (
     Superagent,
     Verdict,
     expand_members,
+    _privy,
     validate,
-    visible_to,
 )
 
 _KIND_SHAPES = {
@@ -360,7 +360,7 @@ def viewpoint(graph: PromiseGraph, observer: str) -> ViewpointGraph:
         raise KeyError("unknown observer %r" % observer)
 
     kept_promises = tuple(
-        p for p in graph.promises if observer in visible_to(graph, p.id)
+        p for p in graph.promises if observer in _privy(graph, p)
     )
     kept_impositions = tuple(
         i for i in graph.impositions if observer in (i.imposer, i.imposee)
@@ -422,7 +422,17 @@ def to_dot(graph: PromiseGraph, cluster_superagents: bool = True,
         return "%s%s [shape=%s];" % (indent, _quote(agent.id),
                                      _KIND_SHAPES[agent.kind])
 
-    def emit_superagent(superagent: Superagent, indent: str) -> None:
+    # superagents depth-first with an explicit stack; a str item is a closing line
+    stack: List[object] = [
+        (superagent, "  ") for name, superagent in reversed(graph.superagents.items())
+        if owner.get(name) is None or not cluster_superagents
+    ]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        superagent, indent = item
         if cluster_superagents:
             lines.append("%ssubgraph %s {" % (indent, _quote("cluster_" + superagent.id)))
             inner = indent + "  "
@@ -434,14 +444,10 @@ def to_dot(graph: PromiseGraph, cluster_superagents: bool = True,
             for name in graph.agents:
                 if owner.get(name) == superagent.id:
                     lines.append(node_line(graph.agents[name], inner))
-            for name in graph.superagents:
-                if owner.get(name) == superagent.id:
-                    emit_superagent(graph.superagents[name], inner)
-            lines.append("%s}" % indent)
-
-    for name, superagent in graph.superagents.items():
-        if owner.get(name) is None or not cluster_superagents:
-            emit_superagent(superagent, "  ")
+            stack.append("%s}" % indent)
+            stack.extend(reversed([(graph.superagents[name], inner)
+                                   for name in graph.superagents
+                                   if owner.get(name) == superagent.id]))
     for name, agent in graph.agents.items():
         if owner.get(name) is None or not cluster_superagents:
             lines.append(node_line(agent, "  "))

@@ -203,36 +203,44 @@ def expand_members(graph: PromiseGraph, names: Set[str]) -> Set[str]:
     return seen
 
 
+def _privy(graph: PromiseGraph, promise: Promise) -> Set[str]:
+    """The actors privy to a promise: promiser, promisees and scope, with
+    superagents expanded downward to their member agents."""
+    return expand_members(graph, {promise.promiser, *promise.promisees, *promise.scope})
+
+
 def visible_to(graph: PromiseGraph, promise_id: str) -> FrozenSet[str]:
-    """The set of actors privy to a promise: promiser, promisees and scope,
-    with superagents expanded downward to their member agents."""
-    promise = graph.promise_by_id(promise_id)
-    base = {promise.promiser} | set(promise.promisees) | set(promise.scope)
-    return frozenset(expand_members(graph, base))
+    """The actors privy to the promise with this id (see `_privy`); raises
+    KeyError for an unknown id."""
+    return frozenset(_privy(graph, graph.promise_by_id(promise_id)))
 
 
 def _superagent_cycles(graph: PromiseGraph) -> List[str]:
-    """Superagent ids that sit on a membership cycle, in declaration order."""
+    """Superagent ids that sit on a membership cycle, in declaration order.
+    Depth-first over members in sorted order, with an explicit stack."""
     state: Dict[str, int] = {}  # 0 = visiting, 1 = done
     cyclic: Set[str] = set()
 
-    def visit(name: str, trail: List[str]) -> None:
-        if name not in graph.superagents:
-            return
-        if state.get(name) == 1:
-            return
-        if state.get(name) == 0:
-            cyclic.update(trail[trail.index(name):])
-            return
-        state[name] = 0
-        trail.append(name)
-        for member in sorted(graph.superagents[name].members):
-            visit(member, trail)
-        trail.pop()
-        state[name] = 1
-
-    for name in graph.superagents:
-        visit(name, [])
+    for root in graph.superagents:
+        if root in state:
+            continue
+        state[root] = 0
+        stack = [(root, iter(sorted(graph.superagents[root].members)))]
+        while stack:
+            name, members = stack[-1]
+            for member in members:
+                if member not in graph.superagents or state.get(member) == 1:
+                    continue
+                if member in state:  # visiting: the trail from it closes a cycle
+                    trail = [entry for entry, _ in stack]
+                    cyclic.update(trail[trail.index(member):])
+                    continue
+                state[member] = 0
+                stack.append((member, iter(sorted(graph.superagents[member].members))))
+                break
+            else:
+                stack.pop()
+                state[name] = 1
     return [name for name in graph.superagents if name in cyclic]
 
 

@@ -2,7 +2,10 @@
 
 bind() is checked against a brute-force matcher: enumerate every matching
 over the candidate pairs, keep the largest, break ties by the earliest
-declaration indices. The production code must agree exactly.
+declaration indices. The production code must agree exactly. On graphs too
+large for brute force, bind() and candidate_pairs() are checked against
+independent references: the quadratic greedy that re-solves the matching
+for every pair, and an all-pairs compatibility filter.
 """
 
 import random
@@ -30,9 +33,9 @@ from promisegraph.analysis import (
     unbound,
 )
 from promisegraph.lower import load
-from promisegraph.model import Polarity
+from promisegraph.model import Agent, Body, Polarity, Promise, PromiseGraph
 
-from conftest import make_random_graph
+from conftest import AGENT_NAMES, TOPICS, make_random_graph
 
 
 def brute_force_bind(graph):
@@ -71,6 +74,84 @@ def test_bind_matches_brute_force(seed):
     rng = random.Random(seed)
     graph = make_random_graph(rng, max_promises=8)
     assert bind(graph) == brute_force_bind(graph)
+
+
+def naive_candidate_pairs(graph):
+    """Every (offer, accept) index pair tested against every other."""
+    return [
+        (oi, ai)
+        for oi, offer in enumerate(graph.promises)
+        for ai, accept in enumerate(graph.promises)
+        if offer.body.polarity is Polarity.OFFER
+        and accept.body.polarity is Polarity.ACCEPT
+        and offer.body.topic == accept.body.topic
+        and accept.promiser in offer.promisees
+        and offer.promiser in accept.promisees
+    ]
+
+
+def max_matching_size(pairs):
+    """Maximum matching size over (offer, accept) pairs, by Kuhn's
+    augmenting paths (recursive; fine at test sizes)."""
+    adjacency = {}
+    for oi, ai in pairs:
+        adjacency.setdefault(oi, []).append(ai)
+    match_of_accept = {}
+
+    def augment(oi, visited):
+        for ai in adjacency[oi]:
+            if ai not in visited:
+                visited.add(ai)
+                if ai not in match_of_accept or augment(match_of_accept[ai], visited):
+                    match_of_accept[ai] = oi
+                    return True
+        return False
+
+    return sum(augment(oi, set()) for oi in adjacency)
+
+
+def reference_bind(graph):
+    """The earliest maximum matching by the quadratic greedy: keep a pair
+    iff the pairs that remain free can still complete a maximum matching."""
+    pairs = naive_candidate_pairs(graph)
+    target = max_matching_size(pairs)
+    chosen = []
+    used_offers, used_accepts = set(), set()
+    for oi, ai in pairs:
+        if oi in used_offers or ai in used_accepts:
+            continue
+        rest = [(o, a) for o, a in pairs
+                if o != oi and a != ai and o not in used_offers and a not in used_accepts]
+        if len(chosen) + 1 + max_matching_size(rest) == target:
+            chosen.append((oi, ai))
+            used_offers.add(oi)
+            used_accepts.add(ai)
+    return [
+        Binding(graph.promises[oi].id, graph.promises[ai].id,
+                graph.promises[oi].body.topic)
+        for oi, ai in chosen
+    ]
+
+
+def make_binding_graph(rng, max_promises=60):
+    """Few agents and topics, so candidate pairs are dense and their
+    components large: shapes where repairs and failed searches abound."""
+    agents = {name: Agent(name) for name in AGENT_NAMES[:rng.randint(2, 4)]}
+    topics = TOPICS[:rng.randint(1, 2)]
+    promises = []
+    for i in range(rng.randint(0, max_promises)):
+        promiser = rng.choice(list(agents))
+        promisees = frozenset(rng.sample(list(agents), rng.randint(1, 2)))
+        body = Body(rng.choice(list(Polarity)), rng.choice(topics))
+        promises.append(Promise("p%d" % i, promiser, promisees, body))
+    return PromiseGraph(agents=agents, promises=tuple(promises))
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_bind_matches_reference_on_dense_graphs(seed):
+    graph = make_binding_graph(random.Random(seed + 7000))
+    assert candidate_pairs(graph) == naive_candidate_pairs(graph)
+    assert bind(graph) == reference_bind(graph)
 
 
 @pytest.mark.parametrize("seed", range(80))

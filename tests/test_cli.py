@@ -266,3 +266,56 @@ def test_multi_error_documents_report_every_line(tmp_path):
     code, out, err = invoke(["check", str(path)])
     assert code == 2
     assert err.count("error:") == 2
+
+
+def nested_superagents(depth):
+    """`depth` superagents, each the only member of the one before it,
+    declared outermost first."""
+    lines = ["agent A"]
+    lines += ["superagent G%d { G%d }" % (i, i + 1) for i in range(depth - 1)]
+    lines.append("superagent G%d { A }" % (depth - 1))
+    return "\n".join(lines) + "\n"
+
+
+def augmenting_chain(length):
+    """Offers o1..oN and accepts a1..aN pair up along a chain; o0, declared
+    last, can only bind a1, so matching it means searching the whole chain."""
+    lines = ["agent X%d" % i for i in range(length + 1)]
+    lines += ["agent Y%d" % i for i in range(1, length + 2)]
+    for i in range(1, length + 1):
+        lines.append("promise o%d from X%d to Y%d, Y%d { offer t }" % (i, i, i, i + 1))
+        lines.append("promise a%d from Y%d to X%d, X%d { accept t }" % (i, i, i - 1, i))
+    lines.append("promise o0 from X0 to Y1 { offer t }")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("argv", [["check"], ["export", "--format", "dot"]])
+def test_deeply_nested_superagents(tmp_path, argv):
+    path = tmp_path / "nested.pml"
+    path.write_text(nested_superagents(1200), encoding="utf-8")
+    code, out, err = invoke([argv[0], str(path), *argv[1:]])
+    assert (code, err) == (0, "")
+    if argv[0] == "export":
+        assert out.count("subgraph") == 1200
+
+
+def test_long_augmenting_chain(tmp_path):
+    path = tmp_path / "chain.pml"
+    path.write_text(augmenting_chain(1500), encoding="utf-8")
+    code, out, err = invoke(["analyze", str(path), "--format", "json"])
+    assert (code, err) == (0, "")
+    bindings = json.loads(out)["bindings"]
+    assert len(bindings) == 1500
+    assert bindings[0] == {"offer": "o1", "accept": "a1", "topic": "t"}
+
+
+def test_internal_error_exits_three_without_traceback(corpus_path, monkeypatch):
+    def explode(graph, config=None):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr("promisegraph.cli.analyze_all", explode)
+    code, out, err = invoke(["analyze", corpus_path])
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal: RuntimeError: boom second line\n"
+    assert "Traceback" not in err
