@@ -17,7 +17,15 @@ import sys
 from typing import IO, List, Optional
 
 from .analysis import AnalysisConfig, Severity, TrustParams, analyze_all, trust
-from .export import ReportFormat, render_report, to_dot, to_json, viewpoint
+from .export import (
+    ReportFormat,
+    _canonical,
+    _trust_rows,
+    render_report,
+    to_dot,
+    to_json,
+    viewpoint,
+)
 from .lexer import ParseFailure
 from .lower import LowerFailure, load
 from .model import PromiseGraph
@@ -96,11 +104,7 @@ def _load_graph(path: str, stdin: IO[str], stderr: IO[str]) -> Optional[PromiseG
         return None
     try:
         return load(text)
-    except ParseFailure as failure:
-        for error in failure.errors:
-            print("error: %s:%s" % (path, error), file=stderr)
-        return None
-    except LowerFailure as failure:
+    except (ParseFailure, LowerFailure) as failure:
         for error in failure.errors:
             print("error: %s:%s" % (path, error), file=stderr)
         return None
@@ -180,18 +184,13 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str], stdout: IO[str],
             print("error: %s" % exc, file=stderr)
             return 2
         table = trust(graph, params)
-        entries = sorted(table.entries.items())
+        rows = _trust_rows(table)
         if args.format == "json":
-            import json as json_module
-            payload = {"initial": table.initial, "trust": [
-                {"assessor": a, "subject": s, "value": v}
-                for (a, s), v in entries
-            ]}
-            stdout.write(json_module.dumps(payload, sort_keys=True,
-                                           separators=(",", ":")) + "\n")
+            payload = {"initial": table.initial, "trust": rows}
+            stdout.write(_canonical(payload).decode("utf-8"))
         else:
-            for (assessor, subject), value in entries:
-                stdout.write("%s -> %s: %r\n" % (assessor, subject, value))
+            for row in rows:
+                stdout.write("%(assessor)s -> %(subject)s: %(value)r\n" % row)
         return 0
 
     if args.command == "export":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple, Union
 
-from .analysis import AnalysisReport, Severity
+from .analysis import AnalysisReport, Severity, TrustTable
 from .model import (
     Agent,
     AgentKind,
@@ -194,8 +194,13 @@ class _JsonReader:
 def from_json(data: Union[bytes, str]) -> PromiseGraph:
     """Parse canonical (or hand-written) graph JSON; inverse of to_json.
 
-    Raises JsonError: `$`-rooted paths for malformed/schema problems, bare
-    paths like promises[3].scope[0] for unresolved references."""
+    Raises JsonError. Malformed JSON, schema breaches and duplicate agent or
+    superagent ids get `$`-rooted paths such as `$.agents[1].id`. The first
+    error `validate` finds gets a bare path built from its locator, such as
+    `promises[3].scope[0]` or `assessments[1].ordinal`, or `$` when it names
+    no single value (a membership cycle). Indices into set-valued fields
+    (`members`, `to`, `scope`, `affects`) count in sorted order, as to_json
+    writes them, not in the order of the input."""
     reader = _JsonReader
     if isinstance(data, bytes):
         try:
@@ -314,42 +319,13 @@ def from_json(data: Union[bytes, str]) -> PromiseGraph:
         assessments=tuple(assessments),
     )
 
-    _check_references(graph)
-    leftovers = validate(graph)
-    if leftovers:
-        raise JsonError("$", leftovers[0].message)
+    errors = validate(graph)
+    if errors:
+        first = errors[0]
+        path = "".join("[%d]" % key if isinstance(key, int) else "." + key
+                       for key in first.locator)
+        raise JsonError(path.lstrip(".") or "$", first.message)
     return graph
-
-
-def _check_references(graph: PromiseGraph) -> None:
-    """Dangling-reference check with JSON-style bare paths."""
-
-    def check(name: str, path: str) -> None:
-        if not graph.has_actor(name):
-            raise JsonError(path, "reference to undeclared agent %r" % name)
-
-    for i, superagent in enumerate(graph.superagents.values()):
-        for j, member in enumerate(sorted(superagent.members)):
-            check(member, "superagents[%d].members[%d]" % (i, j))
-    for i, promise in enumerate(graph.promises):
-        check(promise.promiser, "promises[%d].from" % i)
-        for j, name in enumerate(sorted(promise.promisees)):
-            check(name, "promises[%d].to[%d]" % (i, j))
-        for j, name in enumerate(sorted(promise.scope)):
-            check(name, "promises[%d].scope[%d]" % (i, j))
-        for j, name in enumerate(sorted(promise.body.affects)):
-            check(name, "promises[%d].body.affects[%d]" % (i, j))
-        if promise.body.behalf_of is not None:
-            check(promise.body.behalf_of, "promises[%d].body.behalf" % i)
-    for i, imposition in enumerate(graph.impositions):
-        check(imposition.imposer, "impositions[%d].from" % i)
-        check(imposition.imposee, "impositions[%d].to" % i)
-    promise_ids = {p.id for p in graph.promises}
-    for i, assessment in enumerate(graph.assessments):
-        check(assessment.assessor, "assessments[%d].by" % i)
-        if assessment.target not in promise_ids:
-            raise JsonError("assessments[%d].on" % i,
-                            "reference to undeclared promise %r" % assessment.target)
 
 
 def viewpoint(graph: PromiseGraph, observer: str) -> ViewpointGraph:
@@ -465,10 +441,6 @@ def to_dot(graph: PromiseGraph, cluster_superagents: bool = True,
     return "\n".join(lines) + "\n"
 
 
-def _format_float(value: float) -> str:
-    return repr(value)
-
-
 def render_report(report: AnalysisReport, format: ReportFormat = ReportFormat.TEXT,
                   color: bool = False) -> str:
     """Render an analysis report; byte-identical for equal reports."""
@@ -501,7 +473,7 @@ def render_report(report: AnalysisReport, format: ReportFormat = ReportFormat.TE
     if report.trust.entries:
         lines.append("trust")
         for (assessor, subject), value in sorted(report.trust.entries.items()):
-            lines.append("  %s -> %s: %s" % (assessor, subject, _format_float(value)))
+            lines.append("  %s -> %s: %r" % (assessor, subject, value))
     return "\n".join(lines) + "\n"
 
 
@@ -526,8 +498,12 @@ def _report_obj(report: AnalysisReport) -> dict:
              "accepts_out": accepts_out}
             for (agent, topic), (offers_in, accepts_out) in sorted(report.census.items())
         ],
-        "trust": [
-            {"assessor": assessor, "subject": subject, "value": value}
-            for (assessor, subject), value in sorted(report.trust.entries.items())
-        ],
+        "trust": _trust_rows(report.trust),
     }
+
+
+def _trust_rows(table: TrustTable) -> List[dict]:
+    return [
+        {"assessor": assessor, "subject": subject, "value": value}
+        for (assessor, subject), value in sorted(table.entries.items())
+    ]

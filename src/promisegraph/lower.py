@@ -1,8 +1,11 @@
 """Lowers a parsed Document to a resolved, validated PromiseGraph.
 
-Names may be declared in any order (forward references are fine); the pass
-first collects declarations, then resolves every reference, reporting all
-problems against the declaration spans before any model object is built.
+Names may be declared in any order (forward references are fine). The
+pass builds the graph in declaration order and leaves every reference,
+duplicate-id, cycle and ordinal check to `validate`. It checks itself only
+what the model cannot hold: a second agent or superagent of one name, a
+name declared as both, self-behalf and self-imposition. All errors are
+reported together, ordered by position.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .model import (
     StructuralError,
     Superagent,
     Verdict,
-    _superagent_cycles,
     validate,
 )
 
@@ -45,126 +47,45 @@ def lower(doc: ast.Document) -> PromiseGraph:
     def err(code: ErrorCode, message: str, span: SourceSpan) -> None:
         errors.append(StructuralError(code, message, span))
 
-    agent_decls: Dict[str, ast.AgentDecl] = {}
-    superagent_decls: Dict[str, ast.SuperagentDecl] = {}
-    promise_decls: Dict[str, ast.PromiseDecl] = {}
-    imposition_decls: Dict[str, ast.ImpositionDecl] = {}
-    assessment_decls: Dict[str, ast.AssessmentDecl] = {}
-
-    for item in doc.items:
-        if isinstance(item, ast.AgentDecl):
-            if item.name in agent_decls:
-                err(ErrorCode.DUPLICATE_ID, "duplicate agent %r" % item.name, item.span)
-            elif item.name in superagent_decls:
-                err(ErrorCode.NAMESPACE_CLASH,
-                    "%r is already declared as a superagent" % item.name, item.span)
-            else:
-                agent_decls[item.name] = item
-        elif isinstance(item, ast.SuperagentDecl):
-            if item.name in superagent_decls:
-                err(ErrorCode.DUPLICATE_ID, "duplicate superagent %r" % item.name, item.span)
-            elif item.name in agent_decls:
-                err(ErrorCode.NAMESPACE_CLASH,
-                    "%r is already declared as an agent" % item.name, item.span)
-            else:
-                superagent_decls[item.name] = item
-        elif isinstance(item, ast.PromiseDecl):
-            if item.name in promise_decls:
-                err(ErrorCode.DUPLICATE_ID, "duplicate promise %r" % item.name, item.span)
-            else:
-                promise_decls[item.name] = item
-        elif isinstance(item, ast.ImpositionDecl):
-            if item.name in imposition_decls:
-                err(ErrorCode.DUPLICATE_ID, "duplicate imposition %r" % item.name, item.span)
-            else:
-                imposition_decls[item.name] = item
-        elif isinstance(item, ast.AssessmentDecl):
-            if item.name in assessment_decls:
-                err(ErrorCode.DUPLICATE_ID, "duplicate assessment %r" % item.name, item.span)
-            else:
-                assessment_decls[item.name] = item
-        else:
-            raise TypeError("unknown AST item %r" % (item,))
-
-    def known_actor(name: str) -> bool:
-        return name in agent_decls or name in superagent_decls
-
-    def check_actor(name: str, context: str, span: SourceSpan) -> None:
-        if not known_actor(name):
-            err(ErrorCode.UNRESOLVED_REFERENCE,
-                "%s refers to undeclared agent %r" % (context, name), span)
-
-    for decl in superagent_decls.values():
-        for member in decl.members:
-            check_actor(member, "superagent %r member" % decl.name, decl.span)
-
-    for decl in promise_decls.values():
-        context = "promise %r" % decl.name
-        check_actor(decl.promiser, context, decl.span)
-        for name in decl.promisees:
-            check_actor(name, context, decl.span)
-        for name in decl.scope or ():
-            check_actor(name, context, decl.span)
-        for name in decl.body.affects:
-            check_actor(name, context, decl.span)
-        if decl.body.behalf is not None:
-            check_actor(decl.body.behalf, context, decl.span)
-            if decl.body.behalf == decl.promiser:
-                err(ErrorCode.INVALID_DECLARATION,
-                    "%s is made on behalf of its own promiser" % context, decl.span)
-
-    for decl in imposition_decls.values():
-        context = "imposition %r" % decl.name
-        check_actor(decl.imposer, context, decl.span)
-        check_actor(decl.imposee, context, decl.span)
-        if decl.imposer == decl.imposee:
-            err(ErrorCode.INVALID_DECLARATION,
-                "%s imposes on its own imposer" % context, decl.span)
-
-    for decl in assessment_decls.values():
-        check_actor(decl.assessor, "assessment %r" % decl.name, decl.span)
-        if decl.target not in promise_decls:
-            err(ErrorCode.UNRESOLVED_REFERENCE,
-                "assessment %r targets unknown promise %r" % (decl.name, decl.target),
-                decl.span)
-
-    # cycle check over the collected superagent declarations
-    provisional = PromiseGraph(
-        agents={name: Agent(name) for name in agent_decls},
-        superagents={
-            name: Superagent(name, frozenset(decl.members), decl.span)
-            for name, decl in superagent_decls.items()
-            if decl.members
-        },
-    )
-    for name in _superagent_cycles(provisional):
-        err(ErrorCode.CYCLIC_SUPERAGENT,
-            "superagent %r is a member of itself through its membership chain" % name,
-            superagent_decls[name].span)
-
-    if errors:
-        errors.sort(key=lambda e: e.span.byte_start)
-        raise LowerFailure(errors)
-
     agents: Dict[str, Agent] = {}
     superagents: Dict[str, Superagent] = {}
     promises: List[Promise] = []
     impositions: List[Imposition] = []
     assessments: List[Assessment] = []
-    ordinal = 0
 
+    # the model keys agents and superagents by name: the first declaration wins
     for item in doc.items:
         if isinstance(item, ast.AgentDecl):
-            kind = AgentKind(item.kind) if item.kind is not None else AgentKind.SYSTEM
-            agents[item.name] = Agent(item.name, kind, item.span)
+            if item.name in agents:
+                err(ErrorCode.DUPLICATE_ID, "duplicate agent %r" % item.name, item.span)
+            elif item.name in superagents:
+                err(ErrorCode.NAMESPACE_CLASH,
+                    "%r is already declared as a superagent" % item.name, item.span)
+            else:
+                kind = AgentKind(item.kind) if item.kind is not None else AgentKind.SYSTEM
+                agents[item.name] = Agent(item.name, kind, item.span)
         elif isinstance(item, ast.SuperagentDecl):
-            superagents[item.name] = Superagent(item.name, frozenset(item.members), item.span)
+            if item.name in superagents:
+                err(ErrorCode.DUPLICATE_ID, "duplicate superagent %r" % item.name, item.span)
+            elif item.name in agents:
+                err(ErrorCode.NAMESPACE_CLASH,
+                    "%r is already declared as an agent" % item.name, item.span)
+            else:
+                superagents[item.name] = Superagent(item.name, frozenset(item.members),
+                                                    item.span)
         elif isinstance(item, ast.PromiseDecl):
+            behalf = item.body.behalf
+            if behalf == item.promiser:
+                # kept in the graph without the redundant behalf, so that its
+                # id, its promiser and the assessments of it are still checked
+                err(ErrorCode.INVALID_DECLARATION,
+                    "promise %r is made on behalf of its own promiser" % item.name, item.span)
+                behalf = None
             body = Body(
                 polarity=Polarity(item.body.polarity),
                 topic=item.body.topic,
                 text=item.body.text or "",
-                behalf_of=item.body.behalf,
+                behalf_of=behalf,
                 affects=frozenset(item.body.affects),
                 condition=item.body.condition,
             )
@@ -178,6 +99,10 @@ def lower(doc: ast.Document) -> PromiseGraph:
                 span=item.span,
             ))
         elif isinstance(item, ast.ImpositionDecl):
+            if item.imposer == item.imposee:
+                err(ErrorCode.INVALID_DECLARATION,
+                    "imposition %r imposes on its own imposer" % item.name, item.span)
+                continue
             impositions.append(Imposition(
                 id=item.name,
                 imposer=item.imposer,
@@ -193,10 +118,11 @@ def lower(doc: ast.Document) -> PromiseGraph:
                 target=item.target,
                 verdict=Verdict(item.verdict),
                 note=item.note,
-                ordinal=ordinal,
+                ordinal=len(assessments),
                 span=item.span,
             ))
-            ordinal += 1
+        else:
+            raise TypeError("unknown AST item %r" % (item,))
 
     graph = PromiseGraph(
         agents=agents,
@@ -205,9 +131,10 @@ def lower(doc: ast.Document) -> PromiseGraph:
         impositions=tuple(impositions),
         assessments=tuple(assessments),
     )
-    leftover = validate(graph)
-    if leftover:
-        raise LowerFailure(leftover)
+    errors = validate(graph) + errors
+    if errors:
+        errors.sort(key=lambda e: e.span.byte_start)
+        raise LowerFailure(errors)
     return graph
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 IDENTIFIER_RE = r"[A-Za-z][A-Za-z0-9_-]*"
 
@@ -153,11 +153,20 @@ class Assessment:
     span: SourceSpan = ZERO_SPAN
 
 
+Locator = Tuple[Union[str, int], ...]
+
+
 @dataclass(frozen=True)
 class StructuralError:
+    """One broken invariant. `locator` names the offending value by its
+    `to_json` keys, e.g. ("promises", 3, "scope", 0), with indices into
+    set-valued fields counted in sorted order; it is empty for whole-graph
+    errors such as membership cycles."""
+
     code: ErrorCode
     message: str
     span: SourceSpan
+    locator: Locator = ()
 
     def __str__(self) -> str:
         return "%s:%s: %s: %s" % (self.span.line, self.span.column, self.code.value, self.message)
@@ -245,91 +254,77 @@ def _superagent_cycles(graph: PromiseGraph) -> List[str]:
 
 
 def validate(graph: PromiseGraph) -> List[StructuralError]:
-    """Check every graph invariant; returns errors in declaration order,
-    empty list iff the graph is well-formed."""
+    """Check every graph invariant: references, unique promise, imposition
+    and assessment ids, acyclic superagents, disjoint agent and superagent
+    names, increasing assessment ordinals. Returns errors in declaration
+    order, each with its locator; empty iff the graph is well-formed."""
     errors: List[StructuralError] = []
 
-    def unresolved(name: str, context: str, span: SourceSpan) -> None:
-        errors.append(StructuralError(
-            ErrorCode.UNRESOLVED_REFERENCE,
-            "%s refers to undeclared agent %r" % (context, name),
-            span,
-        ))
+    def error(code: ErrorCode, message: str, span: SourceSpan, locator: Locator) -> None:
+        errors.append(StructuralError(code, message, span, locator))
 
-    for name in graph.agents:
-        if name in graph.superagents:
-            errors.append(StructuralError(
-                ErrorCode.NAMESPACE_CLASH,
-                "%r is declared both as an agent and as a superagent" % name,
-                graph.superagents[name].span,
-            ))
+    def check_actor(name: str, context: str, span: SourceSpan, locator: Locator) -> None:
+        if not graph.has_actor(name):
+            error(ErrorCode.UNRESOLVED_REFERENCE,
+                  "%s refers to undeclared agent %r" % (context, name), span, locator)
 
-    for superagent in graph.superagents.values():
-        for member in sorted(superagent.members):
-            if not graph.has_actor(member):
-                unresolved(member, "superagent %r member" % superagent.id, superagent.span)
+    def check_actors(names: FrozenSet[str], context: str, span: SourceSpan,
+                     locator: Locator) -> None:
+        for j, name in enumerate(sorted(names)):
+            check_actor(name, context, span, locator + (j,))
+
+    def check_unique(seen: Set[str], kind: str, entity_id: str, span: SourceSpan,
+                     locator: Locator) -> None:
+        if entity_id in seen:
+            error(ErrorCode.DUPLICATE_ID, "duplicate %s id %r" % (kind, entity_id),
+                  span, locator + ("id",))
+        seen.add(entity_id)
+
+    for i, superagent in enumerate(graph.superagents.values()):
+        if superagent.id in graph.agents:
+            error(ErrorCode.NAMESPACE_CLASH,
+                  "%r is declared both as an agent and as a superagent" % superagent.id,
+                  superagent.span, ("superagents", i, "id"))
+        check_actors(superagent.members, "superagent %r member" % superagent.id,
+                     superagent.span, ("superagents", i, "members"))
 
     for name in _superagent_cycles(graph):
-        errors.append(StructuralError(
-            ErrorCode.CYCLIC_SUPERAGENT,
-            "superagent %r is a member of itself through its membership chain" % name,
-            graph.superagents[name].span,
-        ))
+        error(ErrorCode.CYCLIC_SUPERAGENT,
+              "superagent %r is a member of itself through its membership chain" % name,
+              graph.superagents[name].span, ())
 
     seen_promise_ids: Set[str] = set()
-    for promise in graph.promises:
-        if promise.id in seen_promise_ids:
-            errors.append(StructuralError(
-                ErrorCode.DUPLICATE_ID,
-                "duplicate promise id %r" % promise.id,
-                promise.span,
-            ))
-        seen_promise_ids.add(promise.id)
-        context = "promise %r" % promise.id
-        for name in [promise.promiser, *sorted(promise.promisees), *sorted(promise.scope),
-                     *sorted(promise.body.affects)]:
-            if not graph.has_actor(name):
-                unresolved(name, context, promise.span)
-        if promise.body.behalf_of is not None and not graph.has_actor(promise.body.behalf_of):
-            unresolved(promise.body.behalf_of, context, promise.span)
+    for i, promise in enumerate(graph.promises):
+        context, span, at = "promise %r" % promise.id, promise.span, ("promises", i)
+        check_unique(seen_promise_ids, "promise", promise.id, span, at)
+        check_actor(promise.promiser, context, span, at + ("from",))
+        check_actors(promise.promisees, context, span, at + ("to",))
+        check_actors(promise.scope, context, span, at + ("scope",))
+        check_actors(promise.body.affects, context, span, at + ("body", "affects"))
+        if promise.body.behalf_of is not None:
+            check_actor(promise.body.behalf_of, context, span, at + ("body", "behalf"))
 
     seen_imposition_ids: Set[str] = set()
-    for imposition in graph.impositions:
-        if imposition.id in seen_imposition_ids:
-            errors.append(StructuralError(
-                ErrorCode.DUPLICATE_ID,
-                "duplicate imposition id %r" % imposition.id,
-                imposition.span,
-            ))
-        seen_imposition_ids.add(imposition.id)
-        for name in (imposition.imposer, imposition.imposee):
-            if not graph.has_actor(name):
-                unresolved(name, "imposition %r" % imposition.id, imposition.span)
+    for i, imposition in enumerate(graph.impositions):
+        context, span, at = "imposition %r" % imposition.id, imposition.span, ("impositions", i)
+        check_unique(seen_imposition_ids, "imposition", imposition.id, span, at)
+        check_actor(imposition.imposer, context, span, at + ("from",))
+        check_actor(imposition.imposee, context, span, at + ("to",))
 
     seen_assessment_ids: Set[str] = set()
     last_ordinal = -1
-    for assessment in graph.assessments:
+    for i, assessment in enumerate(graph.assessments):
+        context, span, at = "assessment %r" % assessment.id, assessment.span, ("assessments", i)
         if assessment.ordinal <= last_ordinal:
-            errors.append(StructuralError(
-                ErrorCode.INVALID_DECLARATION,
-                "assessment %r ordinal %d does not increase" % (assessment.id, assessment.ordinal),
-                assessment.span,
-            ))
+            error(ErrorCode.INVALID_DECLARATION,
+                  "%s ordinal %d does not increase" % (context, assessment.ordinal),
+                  span, at + ("ordinal",))
         last_ordinal = assessment.ordinal
-        if assessment.id in seen_assessment_ids:
-            errors.append(StructuralError(
-                ErrorCode.DUPLICATE_ID,
-                "duplicate assessment id %r" % assessment.id,
-                assessment.span,
-            ))
-        seen_assessment_ids.add(assessment.id)
-        if not graph.has_actor(assessment.assessor):
-            unresolved(assessment.assessor, "assessment %r" % assessment.id, assessment.span)
+        check_unique(seen_assessment_ids, "assessment", assessment.id, span, at)
+        check_actor(assessment.assessor, context, span, at + ("by",))
         if assessment.target not in seen_promise_ids:
-            errors.append(StructuralError(
-                ErrorCode.UNRESOLVED_REFERENCE,
-                "assessment %r targets unknown promise %r" % (assessment.id, assessment.target),
-                assessment.span,
-            ))
+            error(ErrorCode.UNRESOLVED_REFERENCE,
+                  "%s targets unknown promise %r" % (context, assessment.target),
+                  span, at + ("on",))
 
     return errors

@@ -158,6 +158,14 @@ def test_trust_json(corpus_path):
     assert {e["subject"] for e in decoded["trust"]} == {"Benno-Baksteen", "Boeing"}
 
 
+def test_trust_json_rows_match_the_analyze_report(corpus_path):
+    code, out, err = invoke(["trust", corpus_path, "--format", "json"])
+    assert code == 0
+    _, report, _ = invoke(["analyze", corpus_path, "--format", "json"])
+    assert json.loads(out)["trust"] == json.loads(report)["trust"]
+    assert json.loads(out)["trust"]
+
+
 def test_trust_flags_change_the_arithmetic(corpus_path):
     code, out, err = invoke([
         "trust", corpus_path, "--trust-beta", "1.0", "--format", "json",

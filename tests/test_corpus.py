@@ -2,6 +2,9 @@
 flaws it must reproduce."""
 
 import json
+import pathlib
+import subprocess
+import sys
 
 from promisegraph import (
     FindingRule,
@@ -138,3 +141,15 @@ def test_faa_sees_what_it_was_told():
     ids = {p.id for p in faa.promises}
     assert "non-antistall" in ids
     assert "mcas-hidden-existence" in ids
+
+
+def test_case_walkthrough_script_runs():
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "case_walkthrough.py"
+    result = subprocess.run([sys.executable, str(script)], capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    violations = result.stdout.split("violations:\n")[1].split("\n\n")[0]
+    assert "behalf-of-violation" in violations
+    assert "'b737-maturity-metapromise' on behalf of Boeing" in violations
+    assert "single-source-acceptance" in violations
+    assert "MCAS accepts topic 'aoa-reading'" in violations

@@ -156,6 +156,72 @@ def test_dangling_assessment_target():
     assert error_path(blob) == "assessments[0].on"
 
 
+REFERENCE_SOURCE = (
+    "agent A\n"
+    "agent B\n"
+    "superagent G { A }\n"
+    "promise p from A to B scope [A] { offer t behalf B affects [A] }\n"
+    'imposition i from A to B { "x" }\n'
+    "assessment v by A on p verdict=kept\n"
+)
+
+
+@pytest.mark.parametrize("keys, path", [
+    (("superagents", 0, "members", 0), "superagents[0].members[0]"),
+    (("promises", 0, "from"), "promises[0].from"),
+    (("promises", 0, "to", 0), "promises[0].to[0]"),
+    (("promises", 0, "scope", 0), "promises[0].scope[0]"),
+    (("promises", 0, "body", "affects", 0), "promises[0].body.affects[0]"),
+    (("promises", 0, "body", "behalf"), "promises[0].body.behalf"),
+    (("impositions", 0, "from"), "impositions[0].from"),
+    (("impositions", 0, "to"), "impositions[0].to"),
+    (("assessments", 0, "by"), "assessments[0].by"),
+    (("assessments", 0, "on"), "assessments[0].on"),
+])
+def test_each_dangling_reference_field_has_a_bare_path(keys, path):
+    doc = json.loads(to_json(load(REFERENCE_SOURCE)))
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = "Ghost"
+    assert error_path(json.dumps(doc)) == path
+
+
+def test_set_valued_indices_count_in_sorted_order():
+    span = {"start": 0, "end": 0, "line": 1, "col": 1}
+    blob = json.dumps(minimal_doc(
+        agents=[agent_obj("Z")],
+        superagents=[{"id": "G", "members": ["Z", "Ghost"], "span": span}],
+    ))
+    assert error_path(blob) == "superagents[0].members[0]"
+
+
+@pytest.mark.parametrize("section, path", [
+    ("promises", "promises[1].id"),
+    ("impositions", "impositions[1].id"),
+    ("assessments", "assessments[1].id"),
+])
+def test_duplicate_ids_name_the_second_id(section, path):
+    doc = json.loads(to_json(load(REFERENCE_SOURCE)))
+    second = dict(doc[section][0])
+    if section == "assessments":
+        second["ordinal"] = 1
+    doc[section].append(second)
+    assert error_path(json.dumps(doc)) == path
+
+
+def test_non_increasing_ordinal_names_the_field():
+    doc = json.loads(to_json(load(REFERENCE_SOURCE)))
+    doc["assessments"].append(dict(doc["assessments"][0], id="w"))
+    assert error_path(json.dumps(doc)) == "assessments[1].ordinal"
+
+
+def test_agent_superagent_clash_names_the_superagent_id():
+    doc = json.loads(to_json(load(REFERENCE_SOURCE)))
+    doc["agents"].append(agent_obj("G"))
+    assert error_path(json.dumps(doc)) == "superagents[0].id"
+
+
 def test_structural_leftovers_surface_at_root():
     span = {"start": 0, "end": 0, "line": 1, "col": 1}
     blob = json.dumps(minimal_doc(superagents=[

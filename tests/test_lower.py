@@ -1,15 +1,29 @@
 """AST-to-graph lowering: defaults, reference checks, and error batching."""
 
+import random
+
 import pytest
 
-from promisegraph.lower import LowerFailure, load
+from promisegraph import parser as ast
+from promisegraph.export import to_json
+from promisegraph.lower import LowerFailure, load, lower
 from promisegraph.model import (
+    Agent,
     AgentKind,
+    Assessment,
+    Body,
     ErrorCode,
+    Imposition,
     ImpositionKind,
     Polarity,
+    Promise,
+    PromiseGraph,
     Provenance,
+    StructuralError,
+    Superagent,
     Verdict,
+    _superagent_cycles,
+    validate,
 )
 
 
@@ -155,3 +169,285 @@ def test_promisees_may_name_superagents():
         "promise p from A to G { offer t }\n"
     )
     assert g.promises[0].promisees == frozenset({"G"})
+
+
+def test_self_behalf_promise_is_still_a_valid_assessment_target():
+    # the promise stays in the validated graph, without the redundant behalf
+    with pytest.raises(LowerFailure) as exc:
+        load(
+            "agent A\nagent B\n"
+            "promise p from A to B { offer t behalf A }\n"
+            "assessment v by A on p verdict=kept\n"
+        )
+    assert [(e.code, e.span.line) for e in exc.value.errors] == [
+        (ErrorCode.INVALID_DECLARATION, 3),
+    ]
+
+
+def test_self_behalf_promise_id_still_counts_for_duplicates():
+    with pytest.raises(LowerFailure) as exc:
+        load(
+            "agent A\nagent B\n"
+            "promise p from A to B { offer t behalf A }\n"
+            "promise p from B to A { accept t }\n"
+        )
+    assert [(e.code, e.span.line) for e in exc.value.errors] == [
+        (ErrorCode.INVALID_DECLARATION, 3),
+        (ErrorCode.DUPLICATE_ID, 4),
+    ]
+
+
+def test_self_imposition_id_is_not_yet_a_duplicate():
+    # the model cannot hold a self-imposition, so a later imposition that
+    # reuses its id is reported only once the first one is fixed
+    with pytest.raises(LowerFailure) as exc:
+        load(
+            "agent A\nagent B\n"
+            'imposition i from A to A { "x" }\n'
+            'imposition i from A to B { "y" }\n'
+        )
+    assert [(e.code, e.span.line) for e in exc.value.errors] == [
+        (ErrorCode.INVALID_DECLARATION, 3),
+    ]
+
+
+def reference_lower_errors(doc):
+    """The lowering of the earlier design: a pre-pass repeating the
+    reference, duplicate and cycle checks over the declarations, then the
+    graph built only if it found nothing, then `validate`. Returns the
+    errors and the graph (None when there are errors)."""
+    errors = []
+
+    def err(code, message, span):
+        errors.append(StructuralError(code, message, span))
+
+    agent_decls, superagent_decls = {}, {}
+    promise_decls, imposition_decls, assessment_decls = {}, {}, {}
+
+    for item in doc.items:
+        if isinstance(item, ast.AgentDecl):
+            if item.name in agent_decls:
+                err(ErrorCode.DUPLICATE_ID, "duplicate agent %r" % item.name, item.span)
+            elif item.name in superagent_decls:
+                err(ErrorCode.NAMESPACE_CLASH,
+                    "%r is already declared as a superagent" % item.name, item.span)
+            else:
+                agent_decls[item.name] = item
+        elif isinstance(item, ast.SuperagentDecl):
+            if item.name in superagent_decls:
+                err(ErrorCode.DUPLICATE_ID, "duplicate superagent %r" % item.name, item.span)
+            elif item.name in agent_decls:
+                err(ErrorCode.NAMESPACE_CLASH,
+                    "%r is already declared as an agent" % item.name, item.span)
+            else:
+                superagent_decls[item.name] = item
+        elif isinstance(item, ast.PromiseDecl):
+            if item.name in promise_decls:
+                err(ErrorCode.DUPLICATE_ID, "duplicate promise %r" % item.name, item.span)
+            else:
+                promise_decls[item.name] = item
+        elif isinstance(item, ast.ImpositionDecl):
+            if item.name in imposition_decls:
+                err(ErrorCode.DUPLICATE_ID, "duplicate imposition %r" % item.name, item.span)
+            else:
+                imposition_decls[item.name] = item
+        elif isinstance(item, ast.AssessmentDecl):
+            if item.name in assessment_decls:
+                err(ErrorCode.DUPLICATE_ID, "duplicate assessment %r" % item.name, item.span)
+            else:
+                assessment_decls[item.name] = item
+
+    def check_actor(name, context, span):
+        if name not in agent_decls and name not in superagent_decls:
+            err(ErrorCode.UNRESOLVED_REFERENCE,
+                "%s refers to undeclared agent %r" % (context, name), span)
+
+    for decl in superagent_decls.values():
+        for member in decl.members:
+            check_actor(member, "superagent %r member" % decl.name, decl.span)
+
+    for decl in promise_decls.values():
+        context = "promise %r" % decl.name
+        check_actor(decl.promiser, context, decl.span)
+        for name in decl.promisees:
+            check_actor(name, context, decl.span)
+        for name in decl.scope or ():
+            check_actor(name, context, decl.span)
+        for name in decl.body.affects:
+            check_actor(name, context, decl.span)
+        if decl.body.behalf is not None:
+            check_actor(decl.body.behalf, context, decl.span)
+            if decl.body.behalf == decl.promiser:
+                err(ErrorCode.INVALID_DECLARATION,
+                    "%s is made on behalf of its own promiser" % context, decl.span)
+
+    for decl in imposition_decls.values():
+        context = "imposition %r" % decl.name
+        check_actor(decl.imposer, context, decl.span)
+        check_actor(decl.imposee, context, decl.span)
+        if decl.imposer == decl.imposee:
+            err(ErrorCode.INVALID_DECLARATION,
+                "%s imposes on its own imposer" % context, decl.span)
+
+    for decl in assessment_decls.values():
+        check_actor(decl.assessor, "assessment %r" % decl.name, decl.span)
+        if decl.target not in promise_decls:
+            err(ErrorCode.UNRESOLVED_REFERENCE,
+                "assessment %r targets unknown promise %r" % (decl.name, decl.target),
+                decl.span)
+
+    provisional = PromiseGraph(
+        agents={name: Agent(name) for name in agent_decls},
+        superagents={
+            name: Superagent(name, frozenset(decl.members), decl.span)
+            for name, decl in superagent_decls.items()
+        },
+    )
+    for name in _superagent_cycles(provisional):
+        err(ErrorCode.CYCLIC_SUPERAGENT,
+            "superagent %r is a member of itself through its membership chain" % name,
+            superagent_decls[name].span)
+
+    if errors:
+        errors.sort(key=lambda e: e.span.byte_start)
+        return errors, None
+
+    agents, superagents = {}, {}
+    promises, impositions, assessments = [], [], []
+    for item in doc.items:
+        if isinstance(item, ast.AgentDecl):
+            kind = AgentKind(item.kind) if item.kind is not None else AgentKind.SYSTEM
+            agents[item.name] = Agent(item.name, kind, item.span)
+        elif isinstance(item, ast.SuperagentDecl):
+            superagents[item.name] = Superagent(item.name, frozenset(item.members), item.span)
+        elif isinstance(item, ast.PromiseDecl):
+            body = Body(
+                polarity=Polarity(item.body.polarity),
+                topic=item.body.topic,
+                text=item.body.text or "",
+                behalf_of=item.body.behalf,
+                affects=frozenset(item.body.affects),
+                condition=item.body.condition,
+            )
+            promises.append(Promise(
+                id=item.name,
+                promiser=item.promiser,
+                promisees=frozenset(item.promisees),
+                body=body,
+                scope=frozenset(item.scope or ()),
+                provenance=Provenance(item.provenance) if item.provenance else Provenance.EXPLICIT,
+                span=item.span,
+            ))
+        elif isinstance(item, ast.ImpositionDecl):
+            impositions.append(Imposition(
+                id=item.name,
+                imposer=item.imposer,
+                imposee=item.imposee,
+                kind=ImpositionKind(item.kind) if item.kind else ImpositionKind.REQUIREMENT,
+                text=item.text,
+                span=item.span,
+            ))
+        elif isinstance(item, ast.AssessmentDecl):
+            assessments.append(Assessment(
+                id=item.name,
+                assessor=item.assessor,
+                target=item.target,
+                verdict=Verdict(item.verdict),
+                note=item.note,
+                ordinal=len(assessments),
+                span=item.span,
+            ))
+    graph = PromiseGraph(agents, superagents, tuple(promises), tuple(impositions),
+                         tuple(assessments))
+    leftover = validate(graph)
+    return leftover, (None if leftover else graph)
+
+
+def random_document(rng):
+    """One declaration per line, in random order, with each kind of fault
+    planted at a per-document rate (none for about a third of documents):
+    dangling names, duplicate ids and names, agent/superagent clashes,
+    superagent cycles, self-behalf and self-imposition."""
+    rate = rng.choice([0.0, 0.1, 0.3])
+
+    def fault():
+        return rng.random() < rate
+
+    def actor(exclude=""):
+        return "Ghost" if fault() else rng.choice([n for n in "ABCGH" if n != exclude])
+
+    def actors(lo, hi):
+        return ", ".join(actor() for _ in range(rng.randint(lo, hi)))
+
+    def new_id(prefix, used):
+        used.append(rng.choice(used) if used and fault() else "%s%d" % (prefix, len(used)))
+        return used[-1]
+
+    lines = ["agent A", "agent B", "agent C"]
+    for name, other in (("G", "H"), ("H", "G")):
+        members = rng.sample("ABC", rng.randint(1, 2))
+        members += [n for n in (other, name, "Ghost") if fault()]
+        lines.append("superagent %s { %s }" % (name, ", ".join(members)))
+    if fault():
+        lines.append(rng.choice(["agent A", "agent G", "superagent A { B }",
+                                 "superagent G { C }"]))
+    promise_ids, imposition_ids, assessment_ids = [], [], []
+    for _ in range(rng.randint(0, 4)):
+        promiser = actor()
+        behalf = ""
+        if rng.random() < 0.3:
+            behalf = " behalf %s" % (promiser if fault() else actor(exclude=promiser))
+        scope = " scope [%s]" % actors(0, 2) if rng.random() < 0.3 else ""
+        affects = " affects [%s]" % actors(1, 2) if rng.random() < 0.3 else ""
+        lines.append("promise %s from %s to %s%s { %s t%s%s }" % (
+            new_id("p", promise_ids), promiser, actors(1, 2), scope,
+            rng.choice(["offer", "accept"]), behalf, affects))
+    for _ in range(rng.randint(0, 2)):
+        imposer = actor()
+        imposee = imposer if fault() else actor(exclude=imposer)
+        lines.append('imposition %s from %s to %s { "x" }'
+                     % (new_id("i", imposition_ids), imposer, imposee))
+    for _ in range(rng.randint(0, 2)):
+        target = "x" if fault() or not promise_ids else rng.choice(promise_ids)
+        lines.append("assessment %s by %s on %s verdict=kept"
+                     % (new_id("v", assessment_ids), actor(), target))
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+def reused_self_imposition_ids(doc):
+    """Lines of impositions whose id was used before only by
+    self-impositions: the model cannot hold those, so `validate` does not
+    yet see the later one as a duplicate."""
+    seen, lines = {}, set()
+    for item in doc.items:
+        if isinstance(item, ast.ImpositionDecl):
+            earlier = seen.setdefault(item.name, [])
+            if earlier and all(earlier):
+                lines.add(item.span.line)
+            earlier.append(item.imposer == item.imposee)
+    return lines
+
+
+def test_lowering_matches_the_reference_pre_pass():
+    rng = random.Random(20261018)
+    verdicts = {"accepted": 0, "rejected": 0, "exempt": 0}
+    for _ in range(5000):
+        source = random_document(rng)
+        doc = ast.parse(source)
+        expected_errors, expected_graph = reference_lower_errors(doc)
+        try:
+            graph = lower(doc)
+        except LowerFailure as failure:
+            assert expected_errors, source
+            flagged = {e.span.line for e in failure.errors}
+            expected = {e.span.line for e in expected_errors}
+            exempt = reused_self_imposition_ids(doc)
+            assert flagged <= expected and expected - flagged <= exempt, source
+            verdicts["exempt"] += expected != flagged
+            verdicts["rejected"] += 1
+        else:
+            assert not expected_errors, source
+            assert to_json(graph) == to_json(expected_graph)
+            verdicts["accepted"] += 1
+    assert min(verdicts.values()) > 0, verdicts
