@@ -1,16 +1,20 @@
 """Tokenizer for the promise-declaration language.
 
-Hand-rolled scanner. Tokens carry exact source slices and byte spans so the
-parser can report precise diagnostics; whitespace and `#` comments are
-skipped but the spans of the surviving tokens still tile the input (the
-lossless-lexing property is tested against this).
+One master pattern is matched at the current position: newlines,
+punctuation, string literals and words are tokens, blanks and `#` comments
+are skipped. A `Token` is a plain tuple of kind, source slice, offsets, line
+and column; its validated `SourceSpan` is built only when a diagnostic or a
+declaration asks for it. Offsets and columns count code points of the
+decoded text, and every token's offsets slice exactly its text out of the
+source (the lossless-lexing property is tested against this).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional
+from typing import List, NamedTuple
 
 from .model import SourceSpan
 
@@ -25,7 +29,12 @@ TOP_LEVEL_KEYWORDS = frozenset({
     "agent", "superagent", "promise", "imposition", "assessment",
 })
 
-PUNCTUATION = frozenset("={}[],")
+_STRING_PREFIX = r'"[^"\\\n]*(?:\\["\\][^"\\\n]*)*'
+_TOKEN_RE = re.compile(
+    r'(?P<newline>\n)|[ \t\r]+|#[^\n]*|(?P<punctuation>[={}\[\],])'
+    r'|(?P<string>' + _STRING_PREFIX + r'")|(?P<word>[A-Za-z][A-Za-z0-9_-]*)')
+_STRING_PREFIX_RE = re.compile(_STRING_PREFIX)
+_ESCAPE_RE = re.compile(r'\\(["\\])')
 
 
 class TokenKind(Enum):
@@ -37,28 +46,24 @@ class TokenKind(Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
-    span: SourceSpan
+    start: int
+    end: int
+    line: int
+    column: int
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.start, self.end, self.line, self.column)
 
     @property
     def value(self) -> str:
         """Decoded payload: for strings the unescaped content, else the text."""
         if self.kind is not TokenKind.STRING:
             return self.text
-        body = self.text[1:-1]
-        out = []
-        i = 0
-        while i < len(body):
-            if body[i] == "\\":
-                out.append(body[i + 1])
-                i += 2
-            else:
-                out.append(body[i])
-                i += 1
-        return "".join(out)
+        return _ESCAPE_RE.sub(r"\1", self.text[1:-1])
 
 
 @dataclass(frozen=True)
@@ -79,105 +84,44 @@ class ParseFailure(Exception):
         self.errors = errors
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isascii() and ch.isalpha()
+_GROUP_KINDS = {"newline": TokenKind.NEWLINE, "punctuation": TokenKind.PUNCTUATION,
+                "string": TokenKind.STRING}
 
 
-def _is_ident_part(ch: str) -> bool:
-    return ch.isascii() and (ch.isalnum() or ch in "_-")
-
-
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def span_from(self, start_pos: int, start_line: int, start_col: int) -> SourceSpan:
-        return SourceSpan(start_pos, self.pos, start_line, start_col)
-
-    def advance(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.column = 1
+def _lex_error(text: str, pos: int, line: int, column: int) -> ParseFailure:
+    """The error for the text at `pos`, where no token matches."""
+    if text[pos] == '"':
+        end = _STRING_PREFIX_RE.match(text, pos).end()
+        if end < len(text) and text[end] == "\\":
+            message, end = "illegal escape sequence in string literal", end + 1
         else:
-            self.column += 1
-        return ch
-
-    def peek(self) -> Optional[str]:
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
+            message = "unterminated string literal"
+    else:
+        message, end = "illegal character %r" % text[pos], pos + 1
+    return ParseFailure([ParseError(message, (), SourceSpan(pos, end, line, column))])
 
 
 def tokenize(text: str) -> List[Token]:
     """Scan the whole input; raises ParseFailure with a single error on the
-    first unterminated string or illegal character."""
-    scanner = _Scanner(text)
+    first unterminated string, illegal escape or illegal character."""
     tokens: List[Token] = []
-
-    def fail(message: str, span: SourceSpan) -> None:
-        raise ParseFailure([ParseError(message, (), span)])
-
-    while scanner.peek() is not None:
-        start_pos, start_line, start_col = scanner.pos, scanner.line, scanner.column
-        ch = scanner.peek()
-
-        if ch == "\n":
-            scanner.advance()
-            tokens.append(Token(TokenKind.NEWLINE, "\n",
-                                scanner.span_from(start_pos, start_line, start_col)))
-            continue
-        if ch in " \t\r":
-            scanner.advance()
-            continue
-        if ch == "#":
-            while scanner.peek() is not None and scanner.peek() != "\n":
-                scanner.advance()
-            continue
-        if ch in PUNCTUATION:
-            scanner.advance()
-            tokens.append(Token(TokenKind.PUNCTUATION, ch,
-                                scanner.span_from(start_pos, start_line, start_col)))
-            continue
-        if ch == '"':
-            scanner.advance()
-            while True:
-                nxt = scanner.peek()
-                if nxt is None or nxt == "\n":
-                    fail("unterminated string literal",
-                         scanner.span_from(start_pos, start_line, start_col))
-                if nxt == "\\":
-                    scanner.advance()
-                    esc = scanner.peek()
-                    if esc not in ('"', "\\"):
-                        fail("illegal escape sequence in string literal",
-                             scanner.span_from(start_pos, start_line, start_col))
-                    scanner.advance()
-                    continue
-                scanner.advance()
-                if nxt == '"':
-                    break
-            tokens.append(Token(TokenKind.STRING,
-                                text[start_pos:scanner.pos],
-                                scanner.span_from(start_pos, start_line, start_col)))
-            continue
-        if _is_ident_start(ch):
-            while scanner.peek() is not None and _is_ident_part(scanner.peek()):
-                scanner.advance()
-            word = text[start_pos:scanner.pos]
+    match = _TOKEN_RE.match
+    pos, line, line_start = 0, 1, 0
+    while pos < len(text):
+        found = match(text, pos)
+        if found is None:
+            raise _lex_error(text, pos, line, pos - line_start + 1)
+        end = found.end()
+        group = found.lastgroup
+        if group == "word":
+            word = found.group()
             kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENTIFIER
-            tokens.append(Token(kind, word,
-                                scanner.span_from(start_pos, start_line, start_col)))
-            continue
-
-        scanner.advance()
-        fail("illegal character %r" % ch,
-             scanner.span_from(start_pos, start_line, start_col))
-
-    tokens.append(Token(TokenKind.EOF, "",
-                        SourceSpan(len(text), len(text), scanner.line, scanner.column)))
+            tokens.append(Token(kind, word, pos, end, line, pos - line_start + 1))
+        elif group is not None:
+            tokens.append(Token(_GROUP_KINDS[group], found.group(), pos, end, line,
+                                pos - line_start + 1))
+            if group == "newline":
+                line, line_start = line + 1, end
+        pos = end
+    tokens.append(Token(TokenKind.EOF, "", pos, pos, line, pos - line_start + 1))
     return tokens

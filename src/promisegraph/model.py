@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 IDENTIFIER_RE = r"[A-Za-z][A-Za-z0-9_-]*"
@@ -60,7 +61,10 @@ class ErrorCode(Enum):
 
 @dataclass(frozen=True)
 class SourceSpan:
-    """Half-open byte range plus the 1-based line/column of its start."""
+    """Half-open range of code-point offsets into the decoded source text,
+    plus the 1-based line/column (in code points) of its start. Despite the
+    field names these are not UTF-8 byte offsets: `text[byte_start:byte_end]`
+    is the spanned source."""
 
     byte_start: int
     byte_end: int
@@ -180,11 +184,19 @@ class PromiseGraph:
     impositions: Tuple[Imposition, ...] = ()
     assessments: Tuple[Assessment, ...] = ()
 
-    def promise_by_id(self, promise_id: str) -> Promise:
+    @cached_property
+    def _promise_index(self) -> Dict[str, Promise]:
+        """Id -> promise, built on first lookup; the first of duplicate ids wins."""
+        index: Dict[str, Promise] = {}
         for promise in self.promises:
-            if promise.id == promise_id:
-                return promise
-        raise KeyError("unknown promise id %r" % promise_id)
+            index.setdefault(promise.id, promise)
+        return index
+
+    def promise_by_id(self, promise_id: str) -> Promise:
+        promise = self._promise_index.get(promise_id)
+        if promise is None:
+            raise KeyError("unknown promise id %r" % promise_id)
+        return promise
 
     def has_actor(self, name: str) -> bool:
         return name in self.agents or name in self.superagents

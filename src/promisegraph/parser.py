@@ -203,8 +203,7 @@ def _describe(token: Token) -> str:
 
 
 def _span_between(start: Token, end: Token) -> SourceSpan:
-    return SourceSpan(start.span.byte_start, end.span.byte_end,
-                      start.span.line, start.span.column)
+    return SourceSpan(start.start, end.end, start.line, start.column)
 
 
 def _ident_list(parser: _Parser, what: str) -> List[str]:

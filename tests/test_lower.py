@@ -3,9 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promisegraph import parser as ast
 from promisegraph.export import to_json
+from promisegraph.lexer import KEYWORDS, ParseFailure
 from promisegraph.lower import LowerFailure, load, lower
 from promisegraph.model import (
     Agent,
@@ -451,3 +454,31 @@ def test_lowering_matches_the_reference_pre_pass():
             assert to_json(graph) == to_json(expected_graph)
             verdicts["accepted"] += 1
     assert min(verdicts.values()) > 0, verdicts
+
+
+# Whole declarations, words and punctuation, so that arbitrary input also
+# reaches the parser and the lowering pass, not just the lexer.
+SOUP_STATEMENTS = (
+    "agent A", "agent B kind=organization", "superagent G { A, B }", "superagent A { G }",
+    "promise p from A to B { offer t }", "promise q from B to A, G scope [] { accept t }",
+    "promise p from A to A { offer t behalf A }", "imposition i from A to A kind=threat { \"x\" }",
+    "assessment v by A on p verdict=kept", "assessment v by G on q verdict=kept",
+)
+SOUP_PIECES = (*SOUP_STATEMENTS, *sorted(KEYWORDS), "A", "G", "p", "t", "inferred",
+               "=", "{", "}", "[", "]", ",", '"x"', "\n")
+
+arbitrary_sources = st.one_of(
+    st.text(),
+    st.lists(st.sampled_from(SOUP_STATEMENTS), max_size=12).map("\n".join),
+    st.lists(st.one_of(st.sampled_from(SOUP_PIECES), st.text(max_size=3)), max_size=40)
+    .map(" ".join),
+)
+
+
+@settings(max_examples=300)
+@given(arbitrary_sources)
+def test_load_raises_only_parse_or_lower_failure(source):
+    try:
+        load(source)
+    except (ParseFailure, LowerFailure) as failure:
+        assert failure.errors

@@ -107,6 +107,16 @@ def test_visible_to_expands_superagents_in_endpoints():
     assert visible_to(g, "p") == frozenset({"A", "G", "B", "C"})
 
 
+def test_promise_by_id_returns_the_first_of_duplicate_ids():
+    first = Promise("p", "A", frozenset({"A"}), Body(Polarity.OFFER, "t"))
+    second = Promise("p", "A", frozenset({"A"}), Body(Polarity.ACCEPT, "t"))
+    g = graph_of(agents=agents("A"), promises=(first, second))
+    assert g.promise_by_id("p") is first
+    with pytest.raises(KeyError, match="unknown promise id 'q'"):
+        g.promise_by_id("q")
+    assert g == graph_of(agents=agents("A"), promises=(first, second))
+
+
 def test_visible_to_unknown_promise_raises():
     with pytest.raises(KeyError):
         visible_to(new_graph(), "ghost")
