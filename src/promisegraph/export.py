@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple, Type, Union
 
 from .analysis import AnalysisReport, Severity, TrustTable
 from .model import (
@@ -120,88 +120,134 @@ def to_json(graph: PromiseGraph) -> bytes:
     return _canonical(_graph_obj(graph))
 
 
-class _JsonReader:
-    """Schema-checked walk over decoded JSON with path-tracked errors."""
+_Reader = Callable[[object, str], object]
 
-    @staticmethod
-    def fail(path: str, message: str) -> None:
-        raise JsonError(path, message)
 
-    @classmethod
-    def obj(cls, value: object, path: str, keys: Tuple[str, ...]) -> dict:
+def _typed(kind: type, name: str) -> _Reader:
+    """Reads one JSON type; json.loads builds exact types, so `true` is no integer."""
+    def read(value: object, path: str) -> object:
+        if type(value) is not kind:
+            raise JsonError(path, "expected " + name)
+        return value
+    return read
+
+
+_string = _typed(str, "a string")
+_integer = _typed(int, "an integer")
+_array = _typed(list, "an array")
+
+
+def _opt_string(value: object, path: str) -> Optional[str]:
+    return None if value is None else _string(value, path)
+
+
+def _names(value: object, path: str) -> FrozenSet[str]:
+    items = _array(value, path)
+    for i, item in enumerate(items):
+        _string(item, "%s[%d]" % (path, i))
+    return frozenset(items)
+
+
+def _enum(enum_type: Type[Enum]) -> _Reader:
+    members = {member.value: member for member in enum_type}
+
+    def read(value: object, path: str) -> Enum:
+        if _string(value, path) not in members:
+            raise JsonError(path, "expected one of %s" % ", ".join(members))
+        return members[value]
+    return read
+
+
+class _Object:
+    """Reads a JSON object into `model(**arguments)`. `fields` are
+    (JSON key, constructor argument, value reader) in to_json key order;
+    a ValueError from the model is reported at the object's path."""
+
+    def __init__(self, model: Callable[..., object], *fields: Tuple[str, str, _Reader]):
+        self.model = model
+        self.fields = [(key, argument, read, "." + key) for key, argument, read in fields]
+        self.keys = frozenset(key for key, _, _ in fields)
+
+    def __call__(self, value: object, path: str) -> object:
         if not isinstance(value, dict):
-            cls.fail(path, "expected an object")
-        extra = set(value) - set(keys)
-        if extra:
-            cls.fail("%s.%s" % (path, sorted(extra)[0]), "unexpected key")
-        for key in keys:
-            if key not in value:
-                cls.fail("%s.%s" % (path, key), "missing key")
-        return value
-
-    @classmethod
-    def string(cls, value: object, path: str) -> str:
-        if not isinstance(value, str):
-            cls.fail(path, "expected a string")
-        return value
-
-    @classmethod
-    def opt_string(cls, value: object, path: str) -> Optional[str]:
-        if value is None:
-            return None
-        return cls.string(value, path)
-
-    @classmethod
-    def integer(cls, value: object, path: str) -> int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            cls.fail(path, "expected an integer")
-        return value
-
-    @classmethod
-    def array(cls, value: object, path: str) -> list:
-        if not isinstance(value, list):
-            cls.fail(path, "expected an array")
-        return value
-
-    @classmethod
-    def string_array(cls, value: object, path: str) -> List[str]:
-        return [cls.string(v, "%s[%d]" % (path, i))
-                for i, v in enumerate(cls.array(value, path))]
-
-    @classmethod
-    def enum(cls, value: object, path: str, enum_type):
-        text = cls.string(value, path)
+            raise JsonError(path, "expected an object")
+        if value.keys() != self.keys:
+            extra = value.keys() - self.keys
+            if extra:
+                raise JsonError("%s.%s" % (path, min(extra)), "unexpected key")
+            missing = next(key for key, _, _, _ in self.fields if key not in value)
+            raise JsonError("%s.%s" % (path, missing), "missing key")
+        arguments = {argument: read(value[key], path + suffix)
+                     for key, argument, read, suffix in self.fields}
         try:
-            return enum_type(text)
-        except ValueError:
-            cls.fail(path, "expected one of %s"
-                     % ", ".join(e.value for e in enum_type))
-
-    @classmethod
-    def span(cls, value: object, path: str) -> SourceSpan:
-        obj = cls.obj(value, path, ("start", "end", "line", "col"))
-        try:
-            return SourceSpan(
-                cls.integer(obj["start"], path + ".start"),
-                cls.integer(obj["end"], path + ".end"),
-                cls.integer(obj["line"], path + ".line"),
-                cls.integer(obj["col"], path + ".col"),
-            )
+            return self.model(**arguments)
         except ValueError as exc:
-            cls.fail(path, str(exc))
+            raise JsonError(path, str(exc))
+
+
+def _tuple_of(read: _Reader) -> _Reader:
+    def read_tuple(value: object, path: str) -> tuple:
+        return tuple(read(item, "%s[%d]" % (path, i))
+                     for i, item in enumerate(_array(value, path)))
+    return read_tuple
+
+
+def _by_id(kind: str, read: _Reader) -> _Reader:
+    """An id -> entity dict; a repeated id is rejected as soon as it is read."""
+    def read_by_id(value: object, path: str) -> dict:
+        entities: dict = {}
+        for i, item in enumerate(_array(value, path)):
+            entity = read(item, "%s[%d]" % (path, i))
+            if entity.id in entities:
+                raise JsonError("%s[%d].id" % (path, i), "duplicate %s id %r" % (kind, entity.id))
+            entities[entity.id] = entity
+        return entities
+    return read_by_id
+
+
+_SPAN = _Object(SourceSpan, ("start", "byte_start", _integer), ("end", "byte_end", _integer),
+                ("line", "line", _integer), ("col", "column", _integer))
+_BODY = _Object(Body, ("polarity", "polarity", _enum(Polarity)), ("topic", "topic", _string),
+                ("text", "text", _string), ("behalf", "behalf_of", _opt_string),
+                ("affects", "affects", _names), ("condition", "condition", _opt_string))
+
+# The graph JSON schema: sections and keys are read in this order.
+_GRAPH = _Object(
+    PromiseGraph,
+    ("agents", "agents", _by_id("agent", _Object(
+        Agent, ("id", "id", _string), ("kind", "kind", _enum(AgentKind)),
+        ("span", "span", _SPAN)))),
+    ("superagents", "superagents", _by_id("superagent", _Object(
+        Superagent, ("id", "id", _string), ("members", "members", _names),
+        ("span", "span", _SPAN)))),
+    ("promises", "promises", _tuple_of(_Object(
+        Promise, ("id", "id", _string), ("from", "promiser", _string), ("to", "promisees", _names),
+        ("scope", "scope", _names), ("provenance", "provenance", _enum(Provenance)),
+        ("body", "body", _BODY), ("span", "span", _SPAN)))),
+    ("impositions", "impositions", _tuple_of(_Object(
+        Imposition, ("id", "id", _string), ("from", "imposer", _string),
+        ("to", "imposee", _string), ("kind", "kind", _enum(ImpositionKind)),
+        ("text", "text", _string), ("span", "span", _SPAN)))),
+    ("assessments", "assessments", _tuple_of(_Object(
+        Assessment, ("id", "id", _string), ("by", "assessor", _string),
+        ("on", "target", _string), ("verdict", "verdict", _enum(Verdict)),
+        ("note", "note", _opt_string), ("ordinal", "ordinal", _integer),
+        ("span", "span", _SPAN)))),
+)
 
 
 def from_json(data: Union[bytes, str]) -> PromiseGraph:
     """Parse canonical (or hand-written) graph JSON; inverse of to_json.
 
-    Raises JsonError. Malformed JSON, schema breaches and duplicate agent or
-    superagent ids get `$`-rooted paths such as `$.agents[1].id`. The first
-    error `validate` finds gets a bare path built from its locator, such as
-    `promises[3].scope[0]` or `assessments[1].ordinal`, or `$` when it names
-    no single value (a membership cycle). Indices into set-valued fields
-    (`members`, `to`, `scope`, `affects`) count in sorted order, as to_json
-    writes them, not in the order of the input."""
-    reader = _JsonReader
+    Raises only JsonError. The schema is the `_GRAPH` table above. Bad
+    UTF-8, malformed or too deeply nested JSON, schema breaches, repeated
+    agent or superagent ids and entities their model constructor rejects
+    get `$`-rooted paths such as `$.agents[1].id`: the first section wins,
+    then the first key in to_json order, then the constructor. A document
+    that passes reaches `validate`, whose first error gets a bare path from
+    its locator, such as `promises[3].scope[0]`, or `$` for a membership
+    cycle. Indices into set-valued fields (`members`, `to`, `scope`,
+    `affects`) count in sorted order, as to_json writes them."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -209,116 +255,10 @@ def from_json(data: Union[bytes, str]) -> PromiseGraph:
             raise JsonError("$", "not valid UTF-8: %s" % exc)
     try:
         decoded = json.loads(data)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise JsonError("$", "malformed JSON: %s" % exc)
 
-    top = reader.obj(decoded, "$",
-                     ("agents", "superagents", "promises", "impositions", "assessments"))
-
-    agents: Dict[str, Agent] = {}
-    for i, item in enumerate(reader.array(top["agents"], "$.agents")):
-        path = "$.agents[%d]" % i
-        obj = reader.obj(item, path, ("id", "kind", "span"))
-        agent = Agent(
-            reader.string(obj["id"], path + ".id"),
-            reader.enum(obj["kind"], path + ".kind", AgentKind),
-            reader.span(obj["span"], path + ".span"),
-        )
-        if agent.id in agents:
-            reader.fail(path + ".id", "duplicate agent id %r" % agent.id)
-        agents[agent.id] = agent
-
-    superagents: Dict[str, Superagent] = {}
-    for i, item in enumerate(reader.array(top["superagents"], "$.superagents")):
-        path = "$.superagents[%d]" % i
-        obj = reader.obj(item, path, ("id", "members", "span"))
-        members = reader.string_array(obj["members"], path + ".members")
-        if not members:
-            reader.fail(path + ".members", "superagent needs at least one member")
-        superagent = Superagent(
-            reader.string(obj["id"], path + ".id"),
-            frozenset(members),
-            reader.span(obj["span"], path + ".span"),
-        )
-        if superagent.id in superagents:
-            reader.fail(path + ".id", "duplicate superagent id %r" % superagent.id)
-        superagents[superagent.id] = superagent
-
-    promises: List[Promise] = []
-    for i, item in enumerate(reader.array(top["promises"], "$.promises")):
-        path = "$.promises[%d]" % i
-        obj = reader.obj(item, path, ("id", "from", "to", "scope", "provenance",
-                                      "body", "span"))
-        body_obj = reader.obj(obj["body"], path + ".body",
-                              ("polarity", "topic", "text", "behalf", "affects",
-                               "condition"))
-        promisees = reader.string_array(obj["to"], path + ".to")
-        if not promisees:
-            reader.fail(path + ".to", "promise needs at least one promisee")
-        try:
-            body = Body(
-                polarity=reader.enum(body_obj["polarity"], path + ".body.polarity",
-                                     Polarity),
-                topic=reader.string(body_obj["topic"], path + ".body.topic"),
-                text=reader.string(body_obj["text"], path + ".body.text"),
-                behalf_of=reader.opt_string(body_obj["behalf"], path + ".body.behalf"),
-                affects=frozenset(reader.string_array(body_obj["affects"],
-                                                      path + ".body.affects")),
-                condition=reader.opt_string(body_obj["condition"],
-                                            path + ".body.condition"),
-            )
-            promises.append(Promise(
-                id=reader.string(obj["id"], path + ".id"),
-                promiser=reader.string(obj["from"], path + ".from"),
-                promisees=frozenset(promisees),
-                body=body,
-                scope=frozenset(reader.string_array(obj["scope"], path + ".scope")),
-                provenance=reader.enum(obj["provenance"], path + ".provenance",
-                                       Provenance),
-                span=reader.span(obj["span"], path + ".span"),
-            ))
-        except ValueError as exc:
-            reader.fail(path, str(exc))
-
-    impositions: List[Imposition] = []
-    for i, item in enumerate(reader.array(top["impositions"], "$.impositions")):
-        path = "$.impositions[%d]" % i
-        obj = reader.obj(item, path, ("id", "from", "to", "kind", "text", "span"))
-        try:
-            impositions.append(Imposition(
-                id=reader.string(obj["id"], path + ".id"),
-                imposer=reader.string(obj["from"], path + ".from"),
-                imposee=reader.string(obj["to"], path + ".to"),
-                kind=reader.enum(obj["kind"], path + ".kind", ImpositionKind),
-                text=reader.string(obj["text"], path + ".text"),
-                span=reader.span(obj["span"], path + ".span"),
-            ))
-        except ValueError as exc:
-            reader.fail(path, str(exc))
-
-    assessments: List[Assessment] = []
-    for i, item in enumerate(reader.array(top["assessments"], "$.assessments")):
-        path = "$.assessments[%d]" % i
-        obj = reader.obj(item, path, ("id", "by", "on", "verdict", "note", "ordinal",
-                                      "span"))
-        assessments.append(Assessment(
-            id=reader.string(obj["id"], path + ".id"),
-            assessor=reader.string(obj["by"], path + ".by"),
-            target=reader.string(obj["on"], path + ".on"),
-            verdict=reader.enum(obj["verdict"], path + ".verdict", Verdict),
-            note=reader.opt_string(obj["note"], path + ".note"),
-            ordinal=reader.integer(obj["ordinal"], path + ".ordinal"),
-            span=reader.span(obj["span"], path + ".span"),
-        ))
-
-    graph = PromiseGraph(
-        agents=agents,
-        superagents=superagents,
-        promises=tuple(promises),
-        impositions=tuple(impositions),
-        assessments=tuple(assessments),
-    )
-
+    graph = _GRAPH(decoded, "$")
     errors = validate(graph)
     if errors:
         first = errors[0]

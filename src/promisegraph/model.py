@@ -12,8 +12,6 @@ from enum import Enum
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
-IDENTIFIER_RE = r"[A-Za-z][A-Za-z0-9_-]*"
-
 
 class AgentKind(Enum):
     HUMAN = "human"

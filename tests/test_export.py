@@ -3,6 +3,9 @@ and report rendering."""
 
 import json
 import random
+import re
+from collections import Counter
+from typing import Dict, List, Optional, Tuple, Union
 
 import pytest
 
@@ -17,7 +20,24 @@ from promisegraph.export import (
 )
 from promisegraph.analysis import analyze_all
 from promisegraph.lower import load
-from promisegraph.model import new_graph, visible_to
+from promisegraph.model import (
+    Agent,
+    AgentKind,
+    Assessment,
+    Body,
+    Imposition,
+    ImpositionKind,
+    Polarity,
+    Promise,
+    PromiseGraph,
+    Provenance,
+    SourceSpan,
+    Superagent,
+    Verdict,
+    new_graph,
+    validate,
+    visible_to,
+)
 
 from conftest import make_random_graph
 
@@ -229,6 +249,377 @@ def test_structural_leftovers_surface_at_root():
         {"id": "B", "members": ["A"], "span": span},
     ]))
     assert error_path(blob) == "$"
+
+
+def rejection_doc(change):
+    doc = json.loads(to_json(load(REFERENCE_SOURCE)))
+    change(doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("blob, path, reason", [
+    (rejection_doc(lambda d: d["superagents"][0].update(members=[])),
+     "$.superagents[0]", "superagent 'G' has no members"),
+    (rejection_doc(lambda d: d["promises"][0].update(to=[])),
+     "$.promises[0]", "promise 'p' has no promisees"),
+    (rejection_doc(lambda d: d["agents"][0]["span"].update(start=9, end=8)),
+     "$.agents[0].span", "span start beyond end"),
+    (rejection_doc(lambda d: d["promises"][0]["body"].update(behalf="A")),
+     "$.promises[0]", "promise 'p' made on behalf of its own promiser"),
+    (rejection_doc(lambda d: d["impositions"][0].update(to="A")),
+     "$.impositions[0]", "imposition 'i' imposes on its own imposer"),
+    (rejection_doc(lambda d: d["superagents"].append(dict(d["superagents"][0]))),
+     "$.superagents[1].id", "duplicate superagent id 'G'"),
+    (rejection_doc(lambda d: d["promises"][0]["body"].update(text=None)),
+     "$.promises[0].body.text", "expected a string"),
+    (rejection_doc(lambda d: d.update(impositions={"i": []})),
+     "$.impositions", "expected an array"),
+    (b"\xff" + EMPTY_JSON, "$",
+     "not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: "
+     "invalid start byte"),
+], ids=["empty-members", "empty-to", "span-start-beyond-end", "self-behalf",
+        "self-imposition", "duplicate-superagent", "null-text", "non-array-section",
+        "non-utf8"])
+def test_rejection_path_and_reason(blob, path, reason):
+    with pytest.raises(JsonError) as exc:
+        from_json(blob)
+    assert (exc.value.path, exc.value.reason) == (path, reason)
+
+
+@pytest.mark.parametrize("blob", [
+    b"[" * 100000,
+    EMPTY_JSON.replace(b'"agents":[]', b'"agents":' + b"[" * 5000 + b"]" * 5000),
+], ids=["root", "under-agents"])
+def test_deeply_nested_json_is_a_json_error(blob):
+    with pytest.raises(JsonError) as exc:
+        from_json(blob)
+    assert exc.value.path == "$"
+    assert exc.value.reason.startswith("malformed JSON: ")
+
+
+class _ReferenceJsonReader:
+    """Schema-checked walk over decoded JSON with path-tracked errors."""
+
+    @staticmethod
+    def fail(path: str, message: str) -> None:
+        raise JsonError(path, message)
+
+    @classmethod
+    def obj(cls, value: object, path: str, keys: Tuple[str, ...]) -> dict:
+        if not isinstance(value, dict):
+            cls.fail(path, "expected an object")
+        extra = set(value) - set(keys)
+        if extra:
+            cls.fail("%s.%s" % (path, sorted(extra)[0]), "unexpected key")
+        for key in keys:
+            if key not in value:
+                cls.fail("%s.%s" % (path, key), "missing key")
+        return value
+
+    @classmethod
+    def string(cls, value: object, path: str) -> str:
+        if not isinstance(value, str):
+            cls.fail(path, "expected a string")
+        return value
+
+    @classmethod
+    def opt_string(cls, value: object, path: str) -> Optional[str]:
+        if value is None:
+            return None
+        return cls.string(value, path)
+
+    @classmethod
+    def integer(cls, value: object, path: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            cls.fail(path, "expected an integer")
+        return value
+
+    @classmethod
+    def array(cls, value: object, path: str) -> list:
+        if not isinstance(value, list):
+            cls.fail(path, "expected an array")
+        return value
+
+    @classmethod
+    def string_array(cls, value: object, path: str) -> List[str]:
+        return [cls.string(v, "%s[%d]" % (path, i))
+                for i, v in enumerate(cls.array(value, path))]
+
+    @classmethod
+    def enum(cls, value: object, path: str, enum_type):
+        text = cls.string(value, path)
+        try:
+            return enum_type(text)
+        except ValueError:
+            cls.fail(path, "expected one of %s"
+                     % ", ".join(e.value for e in enum_type))
+
+    @classmethod
+    def span(cls, value: object, path: str) -> SourceSpan:
+        obj = cls.obj(value, path, ("start", "end", "line", "col"))
+        try:
+            return SourceSpan(
+                cls.integer(obj["start"], path + ".start"),
+                cls.integer(obj["end"], path + ".end"),
+                cls.integer(obj["line"], path + ".line"),
+                cls.integer(obj["col"], path + ".col"),
+            )
+        except ValueError as exc:
+            cls.fail(path, str(exc))
+
+
+def reference_from_json(data: Union[bytes, str]) -> PromiseGraph:
+    """The JSON reader of the earlier design: one hand-written loop per
+    section over `_ReferenceJsonReader`, kept as the differential reference."""
+    reader = _ReferenceJsonReader
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise JsonError("$", "not valid UTF-8: %s" % exc)
+    try:
+        decoded = json.loads(data)
+    except ValueError as exc:
+        raise JsonError("$", "malformed JSON: %s" % exc)
+
+    top = reader.obj(decoded, "$",
+                     ("agents", "superagents", "promises", "impositions", "assessments"))
+
+    agents: Dict[str, Agent] = {}
+    for i, item in enumerate(reader.array(top["agents"], "$.agents")):
+        path = "$.agents[%d]" % i
+        obj = reader.obj(item, path, ("id", "kind", "span"))
+        agent = Agent(
+            reader.string(obj["id"], path + ".id"),
+            reader.enum(obj["kind"], path + ".kind", AgentKind),
+            reader.span(obj["span"], path + ".span"),
+        )
+        if agent.id in agents:
+            reader.fail(path + ".id", "duplicate agent id %r" % agent.id)
+        agents[agent.id] = agent
+
+    superagents: Dict[str, Superagent] = {}
+    for i, item in enumerate(reader.array(top["superagents"], "$.superagents")):
+        path = "$.superagents[%d]" % i
+        obj = reader.obj(item, path, ("id", "members", "span"))
+        members = reader.string_array(obj["members"], path + ".members")
+        if not members:
+            reader.fail(path + ".members", "superagent needs at least one member")
+        superagent = Superagent(
+            reader.string(obj["id"], path + ".id"),
+            frozenset(members),
+            reader.span(obj["span"], path + ".span"),
+        )
+        if superagent.id in superagents:
+            reader.fail(path + ".id", "duplicate superagent id %r" % superagent.id)
+        superagents[superagent.id] = superagent
+
+    promises: List[Promise] = []
+    for i, item in enumerate(reader.array(top["promises"], "$.promises")):
+        path = "$.promises[%d]" % i
+        obj = reader.obj(item, path, ("id", "from", "to", "scope", "provenance",
+                                      "body", "span"))
+        body_obj = reader.obj(obj["body"], path + ".body",
+                              ("polarity", "topic", "text", "behalf", "affects",
+                               "condition"))
+        promisees = reader.string_array(obj["to"], path + ".to")
+        if not promisees:
+            reader.fail(path + ".to", "promise needs at least one promisee")
+        try:
+            body = Body(
+                polarity=reader.enum(body_obj["polarity"], path + ".body.polarity",
+                                     Polarity),
+                topic=reader.string(body_obj["topic"], path + ".body.topic"),
+                text=reader.string(body_obj["text"], path + ".body.text"),
+                behalf_of=reader.opt_string(body_obj["behalf"], path + ".body.behalf"),
+                affects=frozenset(reader.string_array(body_obj["affects"],
+                                                      path + ".body.affects")),
+                condition=reader.opt_string(body_obj["condition"],
+                                            path + ".body.condition"),
+            )
+            promises.append(Promise(
+                id=reader.string(obj["id"], path + ".id"),
+                promiser=reader.string(obj["from"], path + ".from"),
+                promisees=frozenset(promisees),
+                body=body,
+                scope=frozenset(reader.string_array(obj["scope"], path + ".scope")),
+                provenance=reader.enum(obj["provenance"], path + ".provenance",
+                                       Provenance),
+                span=reader.span(obj["span"], path + ".span"),
+            ))
+        except ValueError as exc:
+            reader.fail(path, str(exc))
+
+    impositions: List[Imposition] = []
+    for i, item in enumerate(reader.array(top["impositions"], "$.impositions")):
+        path = "$.impositions[%d]" % i
+        obj = reader.obj(item, path, ("id", "from", "to", "kind", "text", "span"))
+        try:
+            impositions.append(Imposition(
+                id=reader.string(obj["id"], path + ".id"),
+                imposer=reader.string(obj["from"], path + ".from"),
+                imposee=reader.string(obj["to"], path + ".to"),
+                kind=reader.enum(obj["kind"], path + ".kind", ImpositionKind),
+                text=reader.string(obj["text"], path + ".text"),
+                span=reader.span(obj["span"], path + ".span"),
+            ))
+        except ValueError as exc:
+            reader.fail(path, str(exc))
+
+    assessments: List[Assessment] = []
+    for i, item in enumerate(reader.array(top["assessments"], "$.assessments")):
+        path = "$.assessments[%d]" % i
+        obj = reader.obj(item, path, ("id", "by", "on", "verdict", "note", "ordinal",
+                                      "span"))
+        assessments.append(Assessment(
+            id=reader.string(obj["id"], path + ".id"),
+            assessor=reader.string(obj["by"], path + ".by"),
+            target=reader.string(obj["on"], path + ".on"),
+            verdict=reader.enum(obj["verdict"], path + ".verdict", Verdict),
+            note=reader.opt_string(obj["note"], path + ".note"),
+            ordinal=reader.integer(obj["ordinal"], path + ".ordinal"),
+            span=reader.span(obj["span"], path + ".span"),
+        ))
+
+    graph = PromiseGraph(
+        agents=agents,
+        superagents=superagents,
+        promises=tuple(promises),
+        impositions=tuple(impositions),
+        assessments=tuple(assessments),
+    )
+
+    errors = validate(graph)
+    if errors:
+        first = errors[0]
+        path = "".join("[%d]" % key if isinstance(key, int) else "." + key
+                       for key in first.locator)
+        raise JsonError(path.lstrip(".") or "$", first.message)
+    return graph
+
+
+# Values a mutation may put in place of another: every JSON type, empty
+# and non-empty, and names that exist in generated graphs.
+MUTANT_VALUES = [None, True, False, 0, -1, 7, 1.5, "", "x", "Alpha", "Group1", "p0",
+                 "offer", "kept", "human", "explicit", "threat", [], ["Alpha"], [1],
+                 {}, {"x": 1}, {"start": 0, "end": 0, "line": 1, "col": 1}]
+MUTANT_KEYS = ["aa", "zz", "id", "from", "to", "body", "span", "members", "topic", "start"]
+
+
+def mutate(doc, rng):
+    """One random edit in place: delete, add or retype a key of some object,
+    empty an array, duplicate an array item, or copy in a string that
+    occurs elsewhere in the document."""
+    objects, arrays, slots, strings = [], [], [], []
+    stack = [doc]
+    while stack:
+        node = stack.pop()
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        (objects if isinstance(node, dict) else arrays).append(node)
+        for key, value in items:
+            slots.append((node, key))
+            if isinstance(value, (dict, list)):
+                stack.append(value)
+            elif isinstance(value, str):
+                strings.append(value)
+    op = rng.choice(["delete", "add", "retype", "retype", "empty", "duplicate", "copy"])
+    if op == "delete":
+        target = rng.choice(objects)
+        if target:
+            del target[rng.choice(sorted(target))]
+    elif op == "add":
+        target = rng.choice(objects)
+        target[rng.choice(MUTANT_KEYS)] = json.loads(json.dumps(rng.choice(MUTANT_VALUES)))
+    elif op == "retype":
+        node, key = rng.choice(slots)
+        node[key] = json.loads(json.dumps(rng.choice(MUTANT_VALUES)))
+    elif op == "empty":
+        rng.choice(arrays).clear()
+    elif op == "duplicate":
+        target = rng.choice(arrays)
+        if target:
+            target.insert(rng.randint(0, len(target)),
+                          json.loads(json.dumps(rng.choice(target))))
+    elif strings:
+        node, key = rng.choice(slots)
+        node[key] = rng.choice(strings)
+
+
+# Diagnostic differences from the reference, all on rejected input:
+# (a) an object with several schema errors reports the first in to_json key
+#     order (the reference checked `body`'s keys and `to` first in a promise,
+#     and `members` first in a superagent);
+# (b) a model constructor's ValueError is reported at the object that
+#     failed, with the model's message (empty `members` or `to`, empty body
+#     topic), instead of the reference's own emptiness checks.
+FIELD_ORDER = {
+    "agents": ["id", "kind", "span"],
+    "superagents": ["id", "members", "span"],
+    "promises": ["id", "from", "to", "scope", "provenance", "body", "span"],
+    "impositions": ["id", "from", "to", "kind", "text", "span"],
+    "assessments": ["id", "by", "on", "verdict", "note", "ordinal", "span"],
+}
+ENTITY_PATH = re.compile(r"(\$\.(\w+)\[\d+\])(?:\.(\w+))?")
+REFERENCE_EMPTY = ("superagent needs at least one member",
+                   "promise needs at least one promisee", "body topic must be non-empty")
+MODEL_EMPTY = re.compile(r"(has no members|has no promisees|body topic must be non-empty)$")
+
+
+def difference_class(expected, actual):
+    """'a' or 'b' when the two (path, reason) pairs differ only as listed
+    above, else None."""
+    old, new = ENTITY_PATH.match(expected[0]), ENTITY_PATH.match(actual[0])
+    if not old or not new or old.group(1) != new.group(1):
+        return None
+    order = FIELD_ORDER[new.group(2)]
+    at_object = actual[0] in (new.group(1), new.group(1) + ".body")
+    if (at_object and MODEL_EMPTY.search(actual[1])) \
+            or (expected[1] in REFERENCE_EMPTY and new.group(3) in order):
+        return "b"
+    if new.group(3) in order and old.group(3) in order \
+            and order.index(new.group(3)) < order.index(old.group(3)):
+        return "a"
+    return None
+
+
+def outcome(read, blob):
+    try:
+        return read(blob)
+    except JsonError as exc:
+        return (exc.path, exc.reason)
+
+
+def from_json_differential(documents, seed):
+    """Compare from_json with the reference on `documents` mutated
+    canonical documents; returns the tally of verdicts and differences."""
+    rng = random.Random(seed)
+    tally = Counter()
+    while tally["documents"] < documents:
+        canonical = to_json(make_random_graph(rng, max_promises=6))
+        for _ in range(10):
+            doc = json.loads(canonical)
+            for _ in range(rng.randint(1, 3)):
+                mutate(doc, rng)
+            blob = json.dumps(doc)
+            expected, actual = outcome(reference_from_json, blob), outcome(from_json, blob)
+            tally["documents"] += 1
+            if isinstance(expected, PromiseGraph):
+                assert actual == expected, blob
+                tally["accepted"] += 1
+                continue
+            assert isinstance(actual, tuple), (blob, expected)
+            tally["rejected"] += 1
+            if actual != expected:
+                kind = difference_class(expected, actual)
+                assert kind, (blob, expected, actual)
+                tally[kind] += 1
+    return tally
+
+
+def test_from_json_matches_the_reference_on_mutated_documents():
+    tally = from_json_differential(5000, seed=20261018)
+    assert tally["accepted"] > 0 and tally["rejected"] > 0, tally
+    assert tally["a"] > 0 and tally["b"] > 0, tally
 
 
 def test_viewpoint_soundness_and_completeness():
