@@ -360,10 +360,9 @@ def trust(graph: PromiseGraph, params: Optional[TrustParams] = None) -> TrustTab
     trust scores: kept gains a fraction alpha of the remaining headroom,
     not-kept loses a fraction beta, indeterminate records the pair unchanged."""
     params = params or TrustParams()
-    by_id = {p.id: p for p in graph.promises}
     entries: Dict[Tuple[str, str], float] = {}
     for assessment in sorted(graph.assessments, key=lambda a: a.ordinal):
-        subject = by_id[assessment.target].promiser
+        subject = graph.promise_by_id(assessment.target).promiser
         key = (assessment.assessor, subject)
         value = entries.get(key, params.initial)
         if assessment.verdict is Verdict.KEPT:
@@ -378,7 +377,7 @@ def sort_findings(findings: Sequence[Finding]) -> Tuple[Finding, ...]:
     """Severity first (violations on top), then document position."""
     return tuple(sorted(
         findings,
-        key=lambda f: (-f.severity.rank, f.span.byte_start, f.rule.value, f.subjects),
+        key=lambda f: (-f.severity.rank, f.span.start, f.rule.value, f.subjects),
     ))
 
 

@@ -65,7 +65,7 @@ class ViewpointGraph:
 
 
 def _span_obj(span: SourceSpan) -> Dict[str, int]:
-    return {"start": span.byte_start, "end": span.byte_end,
+    return {"start": span.start, "end": span.end,
             "line": span.line, "col": span.column}
 
 
@@ -205,7 +205,7 @@ def _by_id(kind: str, read: _Reader) -> _Reader:
     return read_by_id
 
 
-_SPAN = _Object(SourceSpan, ("start", "byte_start", _integer), ("end", "byte_end", _integer),
+_SPAN = _Object(SourceSpan, ("start", "start", _integer), ("end", "end", _integer),
                 ("line", "line", _integer), ("col", "column", _integer))
 _BODY = _Object(Body, ("polarity", "polarity", _enum(Polarity)), ("topic", "topic", _string),
                 ("text", "text", _string), ("behalf", "behalf_of", _opt_string),
@@ -329,8 +329,15 @@ def to_dot(graph: PromiseGraph, cluster_superagents: bool = True,
     owner: Dict[str, str] = {}
     if cluster_superagents:
         for superagent in graph.superagents.values():
-            for member in sorted(superagent.members):
+            for member in superagent.members:
                 owner.setdefault(member, superagent.id)
+    # cluster contents by owner (None: top level), each in declaration order
+    agents_of: Dict[Optional[str], List[Agent]] = {}
+    for name, agent in graph.agents.items():
+        agents_of.setdefault(owner.get(name), []).append(agent)
+    superagents_of: Dict[Optional[str], List[Superagent]] = {}
+    for name, superagent in graph.superagents.items():
+        superagents_of.setdefault(owner.get(name), []).append(superagent)
 
     lines: List[str] = ["digraph promises {"]
 
@@ -339,10 +346,8 @@ def to_dot(graph: PromiseGraph, cluster_superagents: bool = True,
                                      _KIND_SHAPES[agent.kind])
 
     # superagents depth-first with an explicit stack; a str item is a closing line
-    stack: List[object] = [
-        (superagent, "  ") for name, superagent in reversed(graph.superagents.items())
-        if owner.get(name) is None or not cluster_superagents
-    ]
+    stack: List[object] = [(superagent, "  ")
+                           for superagent in reversed(superagents_of.get(None, []))]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
@@ -357,16 +362,13 @@ def to_dot(graph: PromiseGraph, cluster_superagents: bool = True,
             inner = indent
         lines.append("%s%s [shape=doubleoctagon];" % (inner, _quote(superagent.id)))
         if cluster_superagents:
-            for name in graph.agents:
-                if owner.get(name) == superagent.id:
-                    lines.append(node_line(graph.agents[name], inner))
+            for agent in agents_of.get(superagent.id, []):
+                lines.append(node_line(agent, inner))
             stack.append("%s}" % indent)
-            stack.extend(reversed([(graph.superagents[name], inner)
-                                   for name in graph.superagents
-                                   if owner.get(name) == superagent.id]))
-    for name, agent in graph.agents.items():
-        if owner.get(name) is None or not cluster_superagents:
-            lines.append(node_line(agent, "  "))
+            stack.extend((child, inner)
+                         for child in reversed(superagents_of.get(superagent.id, [])))
+    for agent in agents_of.get(None, []):
+        lines.append(node_line(agent, "  "))
 
     for promise in graph.promises:
         tag = promise.id if label == "id" else promise.body.topic

@@ -68,8 +68,9 @@ class Token(NamedTuple):
 
 @dataclass(frozen=True)
 class ParseError:
+    """One diagnostic: a message and the span of the offending text."""
+
     message: str
-    expected: tuple
     span: SourceSpan
 
     def __str__(self) -> str:
@@ -98,7 +99,7 @@ def _lex_error(text: str, pos: int, line: int, column: int) -> ParseFailure:
             message = "unterminated string literal"
     else:
         message, end = "illegal character %r" % text[pos], pos + 1
-    return ParseFailure([ParseError(message, (), SourceSpan(pos, end, line, column))])
+    return ParseFailure([ParseError(message, SourceSpan(pos, end, line, column))])
 
 
 def tokenize(text: str) -> List[Token]:

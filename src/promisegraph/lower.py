@@ -133,7 +133,7 @@ def lower(doc: ast.Document) -> PromiseGraph:
     )
     errors = validate(graph) + errors
     if errors:
-        errors.sort(key=lambda e: e.span.byte_start)
+        errors.sort(key=lambda e: e.span.start)
         raise LowerFailure(errors)
     return graph
 

@@ -59,18 +59,17 @@ class ErrorCode(Enum):
 
 @dataclass(frozen=True)
 class SourceSpan:
-    """Half-open range of code-point offsets into the decoded source text,
-    plus the 1-based line/column (in code points) of its start. Despite the
-    field names these are not UTF-8 byte offsets: `text[byte_start:byte_end]`
-    is the spanned source."""
+    """Half-open range of code-point offsets into the decoded source text
+    (`text[start:end]` is the spanned source), plus the 1-based line/column
+    (in code points) of its start."""
 
-    byte_start: int
-    byte_end: int
+    start: int
+    end: int
     line: int
     column: int
 
     def __post_init__(self) -> None:
-        if self.byte_start > self.byte_end:
+        if self.start > self.end:
             raise ValueError("span start beyond end")
         if self.line < 1 or self.column < 1:
             raise ValueError("line and column are 1-based")

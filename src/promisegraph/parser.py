@@ -106,26 +106,21 @@ class _Unwind(Exception):
 
 
 class _Parser:
+    """A cursor over the token list. Inside braces and brackets (`depth` > 0)
+    newlines are soft: `advance` steps over those that follow the token it
+    consumes, so `peek` never sees one there, and the statement loop sees
+    only the newlines that end statements."""
+
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0  # nesting of {} and []
         self.last = tokens[0]
 
-    # raw access ignores the depth rule; used by the statement loop
-    def raw_peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def _skip_soft_newlines(self) -> None:
-        while self.depth > 0 and self.tokens[self.pos].kind is TokenKind.NEWLINE:
-            self.pos += 1
-
     def peek(self) -> Token:
-        self._skip_soft_newlines()
         return self.tokens[self.pos]
 
     def advance(self) -> Token:
-        self._skip_soft_newlines()
         token = self.tokens[self.pos]
         if token.kind is not TokenKind.EOF:
             self.pos += 1
@@ -134,11 +129,14 @@ class _Parser:
                 self.depth += 1
             elif token.text in "}]":
                 self.depth = max(0, self.depth - 1)
+        if self.depth:
+            while self.tokens[self.pos].kind is TokenKind.NEWLINE:
+                self.pos += 1
         self.last = token
         return token
 
-    def fail(self, message: str, expected: Tuple[str, ...] = ()) -> None:
-        raise _Unwind(ParseError(message, expected, self.peek().span))
+    def fail(self, message: str) -> None:
+        raise _Unwind(ParseError(message, self.peek().span))
 
     def match_keyword(self, word: str) -> bool:
         token = self.peek()
@@ -150,26 +148,25 @@ class _Parser:
     def expect_keyword(self, word: str) -> Token:
         token = self.peek()
         if token.kind is not TokenKind.KEYWORD or token.text != word:
-            self.fail("expected keyword %r, found %s" % (word, _describe(token)), (word,))
+            self.fail("expected keyword %r, found %s" % (word, _describe(token)))
         return self.advance()
 
     def expect_ident(self, what: str = "identifier") -> Token:
         token = self.peek()
         if token.kind is not TokenKind.IDENTIFIER:
-            self.fail("expected %s, found %s" % (what, _describe(token)), ("identifier",))
+            self.fail("expected %s, found %s" % (what, _describe(token)))
         return self.advance()
 
     def expect_punct(self, char: str) -> Token:
         token = self.peek()
         if token.kind is not TokenKind.PUNCTUATION or token.text != char:
-            self.fail("expected %r, found %s" % (char, _describe(token)), (char,))
+            self.fail("expected %r, found %s" % (char, _describe(token)))
         return self.advance()
 
     def expect_string(self) -> Token:
         token = self.peek()
         if token.kind is not TokenKind.STRING:
-            self.fail("expected string literal, found %s" % _describe(token),
-                      ("string-literal",))
+            self.fail("expected string literal, found %s" % _describe(token))
         return self.advance()
 
     def expect_choice(self, allowed: Tuple[str, ...], what: str) -> Token:
@@ -177,7 +174,7 @@ class _Parser:
         if token.text not in allowed:
             raise _Unwind(ParseError(
                 "expected %s (one of %s), found %r" % (what, ", ".join(allowed), token.text),
-                allowed, token.span))
+                token.span))
         return token
 
     def recover(self) -> None:
@@ -239,7 +236,7 @@ def _parse_bracket_list(parser: _Parser, what: str, allow_empty: bool) -> List[s
     closing = parser.peek()
     if closing.kind is TokenKind.PUNCTUATION and closing.text == "]":
         if not allow_empty:
-            parser.fail("expected at least one %s" % what, ("identifier",))
+            parser.fail("expected at least one %s" % what)
         parser.advance()
         return names
     names = _ident_list(parser, what)
@@ -254,8 +251,7 @@ def _parse_body(parser: _Parser) -> BodyDecl:
     elif parser.match_keyword("accept"):
         polarity = "accept"
     else:
-        parser.fail("expected keyword 'offer' or 'accept', found %s" % _describe(start),
-                    ("offer", "accept"))
+        parser.fail("expected keyword 'offer' or 'accept', found %s" % _describe(start))
     topic = parser.expect_ident("topic")
     text = None
     if parser.peek().kind is TokenKind.STRING:
@@ -346,20 +342,18 @@ def parse(text: str) -> Document:
     errors: List[ParseError] = []
 
     while True:
-        while parser.raw_peek().kind is TokenKind.NEWLINE:
+        while parser.peek().kind is TokenKind.NEWLINE:
             parser.pos += 1
-        token = parser.raw_peek()
+        token = parser.peek()
         if token.kind is TokenKind.EOF:
             break
         try:
             if token.kind is not TokenKind.KEYWORD or token.text not in _ITEM_PARSERS:
-                parser.fail("expected a declaration, found %s" % _describe(token),
-                            tuple(sorted(TOP_LEVEL_KEYWORDS)))
+                parser.fail("expected a declaration, found %s" % _describe(token))
             items.append(_ITEM_PARSERS[token.text](parser))
-            terminator = parser.raw_peek()
+            terminator = parser.peek()
             if terminator.kind not in (TokenKind.NEWLINE, TokenKind.EOF):
-                parser.fail("expected end of statement, found %s" % _describe(terminator),
-                            ("newline",))
+                parser.fail("expected end of statement, found %s" % _describe(terminator))
         except _Unwind as unwind:
             errors.append(unwind.error)
             parser.recover()

@@ -475,7 +475,7 @@ def test_sort_findings_severity_then_position():
     assert severities == sorted(severities, reverse=True)
     # same severity: document position decides
     warnings = [f for f in report.findings if f.severity is Severity.WARNING]
-    positions = [f.span.byte_start for f in warnings]
+    positions = [f.span.start for f in warnings]
     assert positions == sorted(positions)
 
 

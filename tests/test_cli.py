@@ -297,14 +297,18 @@ def augmenting_chain(length):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("argv", [["check"], ["export", "--format", "dot"]])
-def test_deeply_nested_superagents(tmp_path, argv):
+# DOT export stays at depth 1,200: its output grows as depth squared
+# (100 MB at 5,000)
+@pytest.mark.parametrize("argv, depth", [
+    (["check"], 1200), (["export", "--format", "dot"], 1200), (["check"], 10000),
+], ids=["argv0", "argv1", "check-10000"])
+def test_deeply_nested_superagents(tmp_path, argv, depth):
     path = tmp_path / "nested.pml"
-    path.write_text(nested_superagents(1200), encoding="utf-8")
+    path.write_text(nested_superagents(depth), encoding="utf-8")
     code, out, err = invoke([argv[0], str(path), *argv[1:]])
     assert (code, err) == (0, "")
     if argv[0] == "export":
-        assert out.count("subgraph") == 1200
+        assert out.count("subgraph") == depth
 
 
 def test_long_augmenting_chain(tmp_path):

@@ -10,7 +10,9 @@ from typing import Dict, List, Optional, Tuple, Union
 import pytest
 
 from promisegraph.export import (
+    _KIND_SHAPES,
     JsonError,
+    _quote,
     ReportFormat,
     from_json,
     render_report,
@@ -735,6 +737,73 @@ def test_dot_label_mode_id():
     assert '[label="+p"]' in to_dot(graph, label="id")
     with pytest.raises(ValueError):
         to_dot(graph, label="color")
+
+
+def reference_dot_nodes(graph, cluster_superagents):
+    """The node lines of the earlier `to_dot`, which rescanned every agent
+    and superagent for each cluster."""
+    owner = {}
+    if cluster_superagents:
+        for superagent in graph.superagents.values():
+            for member in sorted(superagent.members):
+                owner.setdefault(member, superagent.id)
+    lines = []
+
+    def node_line(agent, indent):
+        return "%s%s [shape=%s];" % (indent, _quote(agent.id), _KIND_SHAPES[agent.kind])
+
+    stack = [
+        (superagent, "  ") for name, superagent in reversed(graph.superagents.items())
+        if owner.get(name) is None or not cluster_superagents
+    ]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        superagent, indent = item
+        if cluster_superagents:
+            lines.append("%ssubgraph %s {" % (indent, _quote("cluster_" + superagent.id)))
+            inner = indent + "  "
+            lines.append("%slabel=%s;" % (inner, _quote(superagent.id)))
+        else:
+            inner = indent
+        lines.append("%s%s [shape=doubleoctagon];" % (inner, _quote(superagent.id)))
+        if cluster_superagents:
+            for name in graph.agents:
+                if owner.get(name) == superagent.id:
+                    lines.append(node_line(graph.agents[name], inner))
+            stack.append("%s}" % indent)
+            stack.extend(reversed([(graph.superagents[name], inner)
+                                   for name in graph.superagents
+                                   if owner.get(name) == superagent.id]))
+    for name, agent in graph.agents.items():
+        if owner.get(name) is None or not cluster_superagents:
+            lines.append(node_line(agent, "  "))
+    return lines
+
+
+def random_superagent_graph(rng):
+    """Agents and superagents only; members are drawn from every declared
+    name and one undeclared one, so cycles and self-membership occur."""
+    agents = {"A%d" % i: Agent("A%d" % i, rng.choice(list(AgentKind)))
+              for i in range(rng.randint(0, 6))}
+    names = ["G%d" % i for i in range(rng.randint(1, 8))]
+    rng.shuffle(names)
+    pool = list(agents) + names + ["Ghost"]
+    superagents = {name: Superagent(name, frozenset(rng.sample(pool, rng.randint(1, 2))))
+                   for name in names}
+    return PromiseGraph(agents=agents, superagents=superagents)
+
+
+@pytest.mark.parametrize("cluster_superagents", [True, False])
+def test_dot_nodes_match_the_reference(cluster_superagents):
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        graph = random_superagent_graph(rng)
+        expected = reference_dot_nodes(graph, cluster_superagents)
+        dot = to_dot(graph, cluster_superagents=cluster_superagents)
+        assert dot == "\n".join(["digraph promises {", *expected, "}"]) + "\n", graph
 
 
 def test_empty_report_renders_exactly():

@@ -159,7 +159,7 @@ def test_errors_are_batched_and_ordered_by_position():
         load(source)
     errors = exc.value.errors
     assert len(errors) == 2
-    starts = [e.span.byte_start for e in errors]
+    starts = [e.span.start for e in errors]
     assert starts == sorted(starts)
     assert "Ghost1" in errors[0].message
     assert "Ghost2" in errors[1].message
@@ -312,7 +312,7 @@ def reference_lower_errors(doc):
             superagent_decls[name].span)
 
     if errors:
-        errors.sort(key=lambda e: e.span.byte_start)
+        errors.sort(key=lambda e: e.span.start)
         return errors, None
 
     agents, superagents = {}, {}

@@ -1,17 +1,33 @@
 """Grammar coverage, error recovery, and multi-error reporting."""
 
+import random
+from collections import Counter
+
 import pytest
 
+from promisegraph import corpus
 from promisegraph.parser import (
+    _ITEM_PARSERS,
     AgentDecl,
     AssessmentDecl,
     Document,
     ImpositionDecl,
     PromiseDecl,
     SuperagentDecl,
+    _describe,
+    _Parser,
+    _Unwind,
     parse,
 )
-from promisegraph.lexer import ParseFailure
+from promisegraph.lexer import (
+    KEYWORDS,
+    TOP_LEVEL_KEYWORDS,
+    ParseFailure,
+    TokenKind,
+    tokenize,
+)
+
+from conftest import AOA_TOY, BROKEN_TOY, CLEAN_TOY
 
 
 def only_item(source):
@@ -193,10 +209,135 @@ def test_error_spans_point_at_the_offending_token():
     with pytest.raises(ParseFailure) as exc:
         parse(source)
     span = exc.value.errors[0].span
-    assert source[span.byte_start:span.byte_end] == "bogus"
+    assert source[span.start:span.end] == "bogus"
 
 
 def test_item_spans_cover_their_statements():
     source = 'promise p from A to B { offer t }'
     item = only_item(source)
-    assert source[item.span.byte_start:item.span.byte_end] == source
+    assert source[item.span.start:item.span.end] == source
+
+
+class ReferenceCursor(_Parser):
+    """The earlier cursor, kept as a reference: `peek` and `advance` step
+    over soft newlines on every look while depth > 0, and the statement
+    loop reads the raw token list through `raw_peek`."""
+
+    def raw_peek(self):
+        return self.tokens[self.pos]
+
+    def _skip_soft_newlines(self):
+        while self.depth > 0 and self.tokens[self.pos].kind is TokenKind.NEWLINE:
+            self.pos += 1
+
+    def peek(self):
+        self._skip_soft_newlines()
+        return self.tokens[self.pos]
+
+    def advance(self):
+        self._skip_soft_newlines()
+        token = self.tokens[self.pos]
+        if token.kind is not TokenKind.EOF:
+            self.pos += 1
+        if token.kind is TokenKind.PUNCTUATION:
+            if token.text in "{[":
+                self.depth += 1
+            elif token.text in "}]":
+                self.depth = max(0, self.depth - 1)
+        self.last = token
+        return token
+
+    def recover(self):
+        self.depth = 0
+        if self.tokens[self.pos].kind is not TokenKind.EOF:
+            self.pos += 1
+        while True:
+            token = self.tokens[self.pos]
+            if token.kind is TokenKind.EOF:
+                return
+            if token.kind is TokenKind.KEYWORD and token.text in TOP_LEVEL_KEYWORDS:
+                return
+            self.pos += 1
+
+
+def reference_parse(text):
+    """`parse` driven by ReferenceCursor and today's item parsers."""
+    parser = ReferenceCursor(tokenize(text))
+    items, errors = [], []
+    while True:
+        while parser.raw_peek().kind is TokenKind.NEWLINE:
+            parser.pos += 1
+        token = parser.raw_peek()
+        if token.kind is TokenKind.EOF:
+            break
+        try:
+            if token.kind is not TokenKind.KEYWORD or token.text not in _ITEM_PARSERS:
+                parser.fail("expected a declaration, found %s" % _describe(token))
+            items.append(_ITEM_PARSERS[token.text](parser))
+            terminator = parser.raw_peek()
+            if terminator.kind not in (TokenKind.NEWLINE, TokenKind.EOF):
+                parser.fail("expected end of statement, found %s" % _describe(terminator))
+        except _Unwind as unwind:
+            errors.append(unwind.error)
+            parser.recover()
+    if errors:
+        raise ParseFailure(errors)
+    return Document(tuple(items))
+
+
+def parse_outcome(parse_fn, text):
+    """The Document, or the (message, span) list of a rejection."""
+    try:
+        return parse_fn(text)
+    except ParseFailure as failure:
+        return [(error.message, error.span) for error in failure.errors]
+
+
+SOURCES = [corpus.load_builtin(), CLEAN_TOY, AOA_TOY, BROKEN_TOY]
+INSERTIONS = [["{", "}", "[", "]"], [",", "="], ["\n"], sorted(KEYWORDS),
+              ['"text"', '""']]
+
+
+def mutated_document(rng):
+    """One to four consecutive declarations of a source, with 1-3 insertions
+    or deleted token runs, each at a token boundary."""
+    lines = rng.choice(SOURCES).splitlines(keepends=True)
+    starts = [i for i, line in enumerate(lines)
+              if line.split(" ", 1)[0] in TOP_LEVEL_KEYWORDS] + [len(lines)]
+    first = rng.randrange(len(starts) - 1)
+    last = min(len(starts) - 1, first + rng.randint(1, 4))
+    text = "".join(lines[starts[first]:starts[last]])
+    for _ in range(rng.randint(1, 3)):
+        starts = [token.start for token in tokenize(text)]
+        if rng.random() < 0.25:
+            i = rng.randrange(len(starts))
+            j = min(len(starts) - 1, i + rng.randint(1, 4))
+            text = text[:starts[i]] + text[starts[j]:]
+        else:
+            at = rng.choice(starts)
+            text = text[:at] + " %s " % rng.choice(rng.choice(INSERTIONS)) + text[at:]
+    return text
+
+
+def has_soft_newline(text):
+    depth = 0
+    for token in tokenize(text):
+        if token.kind is TokenKind.PUNCTUATION and token.text in "{[":
+            depth += 1
+        elif token.kind is TokenKind.PUNCTUATION and token.text in "}]":
+            depth = max(0, depth - 1)
+        elif token.kind is TokenKind.NEWLINE and depth:
+            return True
+    return False
+
+
+def test_parse_matches_the_reference_cursor_on_mutated_documents():
+    rng = random.Random(20261018)
+    tally = Counter()
+    for _ in range(5000):
+        text = mutated_document(rng)
+        expected = parse_outcome(reference_parse, text)
+        assert parse_outcome(parse, text) == expected, text
+        verdict = "accepted" if isinstance(expected, Document) else "rejected"
+        tally[verdict, has_soft_newline(text)] += 1
+    assert len(tally) == 4 and min(tally.values()) > 50, tally
