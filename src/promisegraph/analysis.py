@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .model import (
     Imposition,
@@ -39,11 +39,13 @@ class Severity(Enum):
 
     @property
     def rank(self) -> int:
-        return {"info": 1, "warning": 2, "violation": 3}[self.value]
+        return _SEVERITY_RANKS[self]
 
 
-@dataclass(frozen=True)
-class Binding:
+_SEVERITY_RANKS = {Severity.INFO: 1, Severity.WARNING: 2, Severity.VIOLATION: 3}
+
+
+class Binding(NamedTuple):
     offer: str
     accept: str
     topic: str
@@ -94,8 +96,7 @@ class AnalysisConfig:
             raise ValueError("quorum must be >= 1")
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     bindings: Tuple[Binding, ...]
     findings: Tuple[Finding, ...]
     census: Dict[Tuple[str, str], Tuple[int, int]]
@@ -377,7 +378,7 @@ def sort_findings(findings: Sequence[Finding]) -> Tuple[Finding, ...]:
     """Severity first (violations on top), then document position."""
     return tuple(sorted(
         findings,
-        key=lambda f: (-f.severity.rank, f.span.start, f.rule.value, f.subjects),
+        key=lambda f: (-_SEVERITY_RANKS[f.severity], f.span.start, f.rule.value, f.subjects),
     ))
 
 

@@ -7,30 +7,24 @@ input (parse, validation, IO, or flag errors). 3: an internal error, a bug
 in promisegraph; it is reported as one `error: internal: <Type>: <message>`
 line, never as a traceback. Diagnostics go to stderr, artifacts to stdout,
 so json/dot output can be piped safely.
+
+Analysis and export are imported only by the commands that run them, so
+`check` never loads them, and `main` runs with the cyclic garbage collector
+off: the process is one-shot and builds no reference cycles that grow with
+its input.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from typing import IO, List, Optional
 
-from .analysis import AnalysisConfig, Severity, TrustParams, analyze_all, trust
-from .export import (
-    ReportFormat,
-    _canonical,
-    _trust_rows,
-    render_report,
-    to_dot,
-    to_json,
-    viewpoint,
-)
 from .lexer import ParseFailure
 from .lower import LowerFailure, load
 from .model import PromiseGraph
-
-_SEVERITY_RANKS = {s.value: s.rank for s in Severity}
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:
@@ -116,13 +110,6 @@ def _want_color(stdout: IO[str]) -> bool:
     return hasattr(stdout, "isatty") and stdout.isatty()
 
 
-def _findings_exit_code(report, fail_on: str) -> int:
-    threshold = _SEVERITY_RANKS[fail_on]
-    if any(f.severity.rank >= threshold for f in report.findings):
-        return 1
-    return 0
-
-
 def run(argv: List[str], stdin: IO[str] = None, stdout: IO[str] = None,
         stderr: IO[str] = None) -> int:
     stdin = stdin if stdin is not None else sys.stdin
@@ -154,6 +141,8 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str], stdout: IO[str],
         return 0
 
     if args.command in ("analyze", "report"):
+        from .analysis import AnalysisConfig, Severity, TrustParams, analyze_all
+        from .export import ReportFormat, render_report
         try:
             config = AnalysisConfig(
                 quorum=args.quorum,
@@ -174,9 +163,12 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str], stdout: IO[str],
                          % (len(graph.agents), len(graph.promises),
                             len(graph.impositions), len(graph.assessments)))
         stdout.write(render_report(report, format_, color=color))
-        return _findings_exit_code(report, args.fail_on)
+        threshold = Severity(args.fail_on).rank
+        return 1 if any(f.severity.rank >= threshold for f in report.findings) else 0
 
     if args.command == "trust":
+        from .analysis import TrustParams, trust
+        from .export import _canonical, _trust_rows
         try:
             params = TrustParams(args.trust_initial, args.trust_alpha,
                                  args.trust_beta)
@@ -194,6 +186,7 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str], stdout: IO[str],
         return 0
 
     if args.command == "export":
+        from .export import to_dot, to_json, viewpoint
         target = graph
         if args.viewpoint is not None:
             try:
@@ -212,6 +205,7 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str], stdout: IO[str],
 
 
 def main() -> None:
+    gc.disable()
     sys.exit(run(sys.argv[1:]))
 
 

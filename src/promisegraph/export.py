@@ -9,9 +9,8 @@ produce byte-identical output regardless of process or hash seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple, Type, Union
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple, Type, Union
 
 from .analysis import AnalysisReport, Severity, TrustTable
 from .model import (
@@ -58,8 +57,7 @@ class JsonError(Exception):
         self.reason = message
 
 
-@dataclass(frozen=True)
-class ViewpointGraph:
+class ViewpointGraph(NamedTuple):
     observer: str
     graph: PromiseGraph
 

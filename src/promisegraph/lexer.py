@@ -12,7 +12,6 @@ source (the lossless-lexing property is tested against this).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import List, NamedTuple
 
@@ -66,8 +65,7 @@ class Token(NamedTuple):
         return _ESCAPE_RE.sub(r"\1", self.text[1:-1])
 
 
-@dataclass(frozen=True)
-class ParseError:
+class ParseError(NamedTuple):
     """One diagnostic: a message and the span of the offending text."""
 
     message: str

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple, Union
 
 
 class AgentKind(Enum):
@@ -78,8 +78,7 @@ class SourceSpan:
 ZERO_SPAN = SourceSpan(0, 0, 1, 1)
 
 
-@dataclass(frozen=True)
-class Agent:
+class Agent(NamedTuple):
     id: str
     kind: AgentKind = AgentKind.SYSTEM
     span: SourceSpan = ZERO_SPAN
@@ -143,8 +142,7 @@ class Imposition:
             raise ValueError("imposition %r imposes on its own imposer" % self.id)
 
 
-@dataclass(frozen=True)
-class Assessment:
+class Assessment(NamedTuple):
     id: str
     assessor: str
     target: str
@@ -157,8 +155,7 @@ class Assessment:
 Locator = Tuple[Union[str, int], ...]
 
 
-@dataclass(frozen=True)
-class StructuralError:
+class StructuralError(NamedTuple):
     """One broken invariant. `locator` names the offending value by its
     `to_json` keys, e.g. ("promises", 3, "scope", 0), with indices into
     set-valued fields counted in sorted order; it is empty for whole-graph

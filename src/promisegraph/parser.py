@@ -8,8 +8,7 @@ top-level keyword, so one run reports every broken statement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .lexer import (
     TOP_LEVEL_KEYWORDS,
@@ -33,22 +32,19 @@ IMPOSITION_KINDS = tuple(k.value for k in ImpositionKind)
 VERDICTS = tuple(v.value for v in Verdict)
 
 
-@dataclass(frozen=True)
-class AgentDecl:
+class AgentDecl(NamedTuple):
     name: str
     kind: Optional[str]
     span: SourceSpan
 
 
-@dataclass(frozen=True)
-class SuperagentDecl:
+class SuperagentDecl(NamedTuple):
     name: str
     members: Tuple[str, ...]
     span: SourceSpan
 
 
-@dataclass(frozen=True)
-class BodyDecl:
+class BodyDecl(NamedTuple):
     polarity: str
     topic: str
     text: Optional[str]
@@ -58,8 +54,7 @@ class BodyDecl:
     span: SourceSpan
 
 
-@dataclass(frozen=True)
-class PromiseDecl:
+class PromiseDecl(NamedTuple):
     name: str
     promiser: str
     promisees: Tuple[str, ...]
@@ -69,8 +64,7 @@ class PromiseDecl:
     span: SourceSpan
 
 
-@dataclass(frozen=True)
-class ImpositionDecl:
+class ImpositionDecl(NamedTuple):
     name: str
     imposer: str
     imposee: str
@@ -79,8 +73,7 @@ class ImpositionDecl:
     span: SourceSpan
 
 
-@dataclass(frozen=True)
-class AssessmentDecl:
+class AssessmentDecl(NamedTuple):
     name: str
     assessor: str
     target: str
@@ -92,8 +85,7 @@ class AssessmentDecl:
 Item = object  # any of the *Decl classes above
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     items: Tuple[Item, ...]
 
 

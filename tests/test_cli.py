@@ -325,7 +325,7 @@ def test_internal_error_exits_three_without_traceback(corpus_path, monkeypatch):
     def explode(graph, config=None):
         raise RuntimeError("boom\nsecond line")
 
-    monkeypatch.setattr("promisegraph.cli.analyze_all", explode)
+    monkeypatch.setattr("promisegraph.analysis.analyze_all", explode)
     code, out, err = invoke(["analyze", corpus_path])
     assert code == 3
     assert out == ""
