@@ -26,7 +26,7 @@ _NAMES = {
     "lower": "LowerFailure load lower",
     "model": "Agent AgentKind Assessment Body ErrorCode Imposition ImpositionKind "
              "Polarity Promise PromiseGraph Provenance SourceSpan StructuralError "
-             "Superagent Verdict expand_members new_graph validate visible_to",
+             "Superagent Verdict expand_members validate visible_to",
     "parser": "Document parse",
 }
 _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names.split()}

@@ -241,11 +241,14 @@ def from_json(data: Union[bytes, str]) -> PromiseGraph:
     UTF-8, malformed or too deeply nested JSON, schema breaches, repeated
     agent or superagent ids and entities their model constructor rejects
     get `$`-rooted paths such as `$.agents[1].id`: the first section wins,
-    then the first key in to_json order, then the constructor. A document
-    that passes reaches `validate`, whose first error gets a bare path from
-    its locator, such as `promises[3].scope[0]`, or `$` for a membership
-    cycle. Indices into set-valued fields (`members`, `to`, `scope`,
-    `affects`) count in sorted order, as to_json writes them."""
+    then the first key in to_json order, then the constructor, which
+    rejects only empty `members`, `to` and `topic` and bad spans. A
+    document that passes reaches `validate`, whose first error gets a bare
+    path from its locator, such as `promises[3].scope[0]`,
+    `promises[0].body.behalf` for a promise on behalf of its own promiser,
+    or `$` for a membership cycle. Indices into set-valued fields
+    (`members`, `to`, `scope`, `affects`) count in sorted order, as to_json
+    writes them."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -314,21 +317,18 @@ def _quote(name: str) -> str:
     return '"%s"' % name.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def to_dot(graph: PromiseGraph, cluster_superagents: bool = True,
-           label: str = "topic") -> str:
+def to_dot(graph: PromiseGraph) -> str:
     """Graphviz text for a graph: agents as shaped nodes, superagents as
     clusters (with an anchor node so edges to them render), one signed edge
-    per promiser/promisee pair, dashed when the promise is not explicit."""
-    if label not in ("id", "topic"):
-        raise ValueError("label must be 'id' or 'topic'")
+    per promiser/promisee pair, labelled with its topic and dashed when the
+    promise is not explicit."""
     if not graph.agents and not graph.superagents and not graph.promises:
         return "digraph promises {}\n"
 
     owner: Dict[str, str] = {}
-    if cluster_superagents:
-        for superagent in graph.superagents.values():
-            for member in superagent.members:
-                owner.setdefault(member, superagent.id)
+    for superagent in graph.superagents.values():
+        for member in superagent.members:
+            owner.setdefault(member, superagent.id)
     # cluster contents by owner (None: top level), each in declaration order
     agents_of: Dict[Optional[str], List[Agent]] = {}
     for name, agent in graph.agents.items():
@@ -352,25 +352,20 @@ def to_dot(graph: PromiseGraph, cluster_superagents: bool = True,
             lines.append(item)
             continue
         superagent, indent = item
-        if cluster_superagents:
-            lines.append("%ssubgraph %s {" % (indent, _quote("cluster_" + superagent.id)))
-            inner = indent + "  "
-            lines.append("%slabel=%s;" % (inner, _quote(superagent.id)))
-        else:
-            inner = indent
+        lines.append("%ssubgraph %s {" % (indent, _quote("cluster_" + superagent.id)))
+        inner = indent + "  "
+        lines.append("%slabel=%s;" % (inner, _quote(superagent.id)))
         lines.append("%s%s [shape=doubleoctagon];" % (inner, _quote(superagent.id)))
-        if cluster_superagents:
-            for agent in agents_of.get(superagent.id, []):
-                lines.append(node_line(agent, inner))
-            stack.append("%s}" % indent)
-            stack.extend((child, inner)
-                         for child in reversed(superagents_of.get(superagent.id, [])))
+        for agent in agents_of.get(superagent.id, []):
+            lines.append(node_line(agent, inner))
+        stack.append("%s}" % indent)
+        stack.extend((child, inner)
+                     for child in reversed(superagents_of.get(superagent.id, [])))
     for agent in agents_of.get(None, []):
         lines.append(node_line(agent, "  "))
 
     for promise in graph.promises:
-        tag = promise.id if label == "id" else promise.body.topic
-        edge_label = promise.body.polarity.sign + tag
+        edge_label = promise.body.polarity.sign + promise.body.topic
         style = "" if promise.provenance is Provenance.EXPLICIT else ", style=dashed"
         for promisee in sorted(promise.promisees):
             lines.append("  %s -> %s [label=%s%s];" % (

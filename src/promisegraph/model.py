@@ -57,7 +57,7 @@ class ErrorCode(Enum):
     INVALID_DECLARATION = "invalid-declaration"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceSpan:
     """Half-open range of code-point offsets into the decoded source text
     (`text[start:end]` is the spanned source), plus the 1-based line/column
@@ -84,7 +84,7 @@ class Agent(NamedTuple):
     span: SourceSpan = ZERO_SPAN
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Superagent:
     id: str
     members: FrozenSet[str]
@@ -95,7 +95,7 @@ class Superagent:
             raise ValueError("superagent %r has no members" % self.id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Body:
     polarity: Polarity
     topic: str
@@ -109,7 +109,7 @@ class Body:
             raise ValueError("body topic must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Promise:
     id: str
     promiser: str
@@ -122,24 +122,15 @@ class Promise:
     def __post_init__(self) -> None:
         if not self.promisees:
             raise ValueError("promise %r has no promisees" % self.id)
-        if self.body.behalf_of == self.promiser:
-            # behalf of oneself is redundant, promises are rejected before
-            # reaching the resolved model
-            raise ValueError("promise %r made on behalf of its own promiser" % self.id)
 
 
-@dataclass(frozen=True)
-class Imposition:
+class Imposition(NamedTuple):
     id: str
     imposer: str
     imposee: str
     kind: ImpositionKind = ImpositionKind.REQUIREMENT
     text: str = ""
     span: SourceSpan = ZERO_SPAN
-
-    def __post_init__(self) -> None:
-        if self.imposer == self.imposee:
-            raise ValueError("imposition %r imposes on its own imposer" % self.id)
 
 
 class Assessment(NamedTuple):
@@ -194,11 +185,6 @@ class PromiseGraph:
 
     def has_actor(self, name: str) -> bool:
         return name in self.agents or name in self.superagents
-
-
-def new_graph() -> PromiseGraph:
-    """Return an empty promise graph."""
-    return PromiseGraph()
 
 
 def expand_members(graph: PromiseGraph, names: Set[str]) -> Set[str]:
@@ -262,8 +248,10 @@ def _superagent_cycles(graph: PromiseGraph) -> List[str]:
 def validate(graph: PromiseGraph) -> List[StructuralError]:
     """Check every graph invariant: references, unique promise, imposition
     and assessment ids, acyclic superagents, disjoint agent and superagent
-    names, increasing assessment ordinals. Returns errors in declaration
-    order, each with its locator; empty iff the graph is well-formed."""
+    names, no promise on behalf of its own promiser, no imposition on its
+    own imposer, increasing assessment ordinals. Returns errors in
+    declaration order, each with its locator; empty iff the graph is
+    well-formed."""
     errors: List[StructuralError] = []
 
     def error(code: ErrorCode, message: str, span: SourceSpan, locator: Locator) -> None:
@@ -307,15 +295,24 @@ def validate(graph: PromiseGraph) -> List[StructuralError]:
         check_actors(promise.promisees, context, span, at + ("to",))
         check_actors(promise.scope, context, span, at + ("scope",))
         check_actors(promise.body.affects, context, span, at + ("body", "affects"))
-        if promise.body.behalf_of is not None:
-            check_actor(promise.body.behalf_of, context, span, at + ("body", "behalf"))
+        behalf = promise.body.behalf_of
+        if behalf == promise.promiser:
+            error(ErrorCode.INVALID_DECLARATION,
+                  "%s is made on behalf of its own promiser" % context,
+                  span, at + ("body", "behalf"))
+        elif behalf is not None:
+            check_actor(behalf, context, span, at + ("body", "behalf"))
 
     seen_imposition_ids: Set[str] = set()
     for i, imposition in enumerate(graph.impositions):
         context, span, at = "imposition %r" % imposition.id, imposition.span, ("impositions", i)
         check_unique(seen_imposition_ids, "imposition", imposition.id, span, at)
         check_actor(imposition.imposer, context, span, at + ("from",))
-        check_actor(imposition.imposee, context, span, at + ("to",))
+        if imposition.imposee == imposition.imposer:
+            error(ErrorCode.INVALID_DECLARATION, "%s imposes on its own imposer" % context,
+                  span, at + ("to",))
+        else:
+            check_actor(imposition.imposee, context, span, at + ("to",))
 
     seen_assessment_ids: Set[str] = set()
     last_ordinal = -1

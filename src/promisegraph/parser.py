@@ -1,14 +1,19 @@
 """Recursive-descent parser for promise declaration documents.
 
-Outside braces and brackets a newline ends the current statement; inside
-them newlines are insignificant, so promise bodies can span lines. On a
-grammar error the parser records a diagnostic and skips to the next
-top-level keyword, so one run reports every broken statement.
+Each declaration becomes the model record it declares (`Agent`,
+`Superagent`, `Promise`, `Imposition` or `Assessment`), with the clause
+defaults applied and spans covering the statement; `lower` only groups
+the records and validates them. Outside braces and brackets a newline
+ends the current statement; inside them newlines are insignificant, so
+promise bodies can span lines. On a grammar error the parser records a
+diagnostic and skips to the next top-level keyword, so one run reports
+every broken statement.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Tuple
+from enum import Enum
+from typing import Dict, FrozenSet, List, NamedTuple, Tuple, Union
 
 from .lexer import (
     TOP_LEVEL_KEYWORDS,
@@ -19,73 +24,35 @@ from .lexer import (
     tokenize,
 )
 from .model import (
+    Agent,
     AgentKind,
+    Assessment,
+    Body,
+    Imposition,
     ImpositionKind,
+    Polarity,
+    Promise,
     Provenance,
     SourceSpan,
+    Superagent,
     Verdict,
 )
 
-AGENT_KINDS = tuple(k.value for k in AgentKind)
-PROVENANCES = tuple(p.value for p in Provenance)
-IMPOSITION_KINDS = tuple(k.value for k in ImpositionKind)
-VERDICTS = tuple(v.value for v in Verdict)
+# each choice clause's words, in the order diagnostics list them
+AGENT_KINDS = {k.value: k for k in AgentKind}
+PROVENANCES = {p.value: p for p in Provenance}
+IMPOSITION_KINDS = {k.value: k for k in ImpositionKind}
+VERDICTS = {v.value: v for v in Verdict}
 
+# shared by every omitted scope and affects clause
+_NO_NAMES: FrozenSet[str] = frozenset()
 
-class AgentDecl(NamedTuple):
-    name: str
-    kind: Optional[str]
-    span: SourceSpan
-
-
-class SuperagentDecl(NamedTuple):
-    name: str
-    members: Tuple[str, ...]
-    span: SourceSpan
-
-
-class BodyDecl(NamedTuple):
-    polarity: str
-    topic: str
-    text: Optional[str]
-    behalf: Optional[str]
-    affects: Tuple[str, ...]
-    condition: Optional[str]
-    span: SourceSpan
-
-
-class PromiseDecl(NamedTuple):
-    name: str
-    promiser: str
-    promisees: Tuple[str, ...]
-    scope: Optional[Tuple[str, ...]]
-    provenance: Optional[str]
-    body: BodyDecl
-    span: SourceSpan
-
-
-class ImpositionDecl(NamedTuple):
-    name: str
-    imposer: str
-    imposee: str
-    kind: Optional[str]
-    text: str
-    span: SourceSpan
-
-
-class AssessmentDecl(NamedTuple):
-    name: str
-    assessor: str
-    target: str
-    verdict: str
-    note: Optional[str]
-    span: SourceSpan
-
-
-Item = object  # any of the *Decl classes above
+Item = Union[Agent, Superagent, Promise, Imposition, Assessment]
 
 
 class Document(NamedTuple):
+    """The declarations of one document, as model records in source order."""
+
     items: Tuple[Item, ...]
 
 
@@ -161,13 +128,13 @@ class _Parser:
             self.fail("expected string literal, found %s" % _describe(token))
         return self.advance()
 
-    def expect_choice(self, allowed: Tuple[str, ...], what: str) -> Token:
+    def expect_choice(self, allowed: Dict[str, Enum], what: str) -> Enum:
         token = self.expect_ident(what)
         if token.text not in allowed:
             raise _Unwind(ParseError(
                 "expected %s (one of %s), found %r" % (what, ", ".join(allowed), token.text),
                 token.span))
-        return token
+        return allowed[token.text]
 
     def recover(self) -> None:
         """Skip to the next top-level keyword (or EOF)."""
@@ -203,104 +170,102 @@ def _ident_list(parser: _Parser, what: str) -> List[str]:
     return names
 
 
-def _parse_agent(parser: _Parser) -> AgentDecl:
+def _parse_agent(parser: _Parser) -> Agent:
     start = parser.expect_keyword("agent")
     name = parser.expect_ident("agent name")
-    kind = None
+    kind = AgentKind.SYSTEM
     if parser.match_keyword("kind"):
         parser.expect_punct("=")
-        kind = parser.expect_choice(AGENT_KINDS, "agent kind").text
-    return AgentDecl(name.text, kind, _span_between(start, parser.last))
+        kind = parser.expect_choice(AGENT_KINDS, "agent kind")
+    return Agent(name.text, kind, _span_between(start, parser.last))
 
 
-def _parse_superagent(parser: _Parser) -> SuperagentDecl:
+def _parse_superagent(parser: _Parser) -> Superagent:
     start = parser.expect_keyword("superagent")
     name = parser.expect_ident("superagent name")
     parser.expect_punct("{")
     members = _ident_list(parser, "member name")
     parser.expect_punct("}")
-    return SuperagentDecl(name.text, tuple(members), _span_between(start, parser.last))
+    return Superagent(name.text, frozenset(members), _span_between(start, parser.last))
 
 
-def _parse_bracket_list(parser: _Parser, what: str, allow_empty: bool) -> List[str]:
+def _parse_bracket_list(parser: _Parser, what: str, allow_empty: bool) -> FrozenSet[str]:
     parser.expect_punct("[")
-    names: List[str] = []
     closing = parser.peek()
     if closing.kind is TokenKind.PUNCTUATION and closing.text == "]":
         if not allow_empty:
             parser.fail("expected at least one %s" % what)
         parser.advance()
-        return names
+        return _NO_NAMES
     names = _ident_list(parser, what)
     parser.expect_punct("]")
-    return names
+    return frozenset(names)
 
 
-def _parse_body(parser: _Parser) -> BodyDecl:
-    start = parser.peek()
+def _parse_body(parser: _Parser) -> Body:
     if parser.match_keyword("offer"):
-        polarity = "offer"
+        polarity = Polarity.OFFER
     elif parser.match_keyword("accept"):
-        polarity = "accept"
+        polarity = Polarity.ACCEPT
     else:
-        parser.fail("expected keyword 'offer' or 'accept', found %s" % _describe(start))
+        parser.fail("expected keyword 'offer' or 'accept', found %s" % _describe(parser.peek()))
     topic = parser.expect_ident("topic")
-    text = None
+    text = ""
     if parser.peek().kind is TokenKind.STRING:
         text = parser.advance().value
     behalf = None
     if parser.match_keyword("behalf"):
         behalf = parser.expect_ident("behalf agent").text
-    affects: Tuple[str, ...] = ()
+    affects = _NO_NAMES
     if parser.match_keyword("affects"):
-        affects = tuple(_parse_bracket_list(parser, "affected agent", allow_empty=False))
+        affects = _parse_bracket_list(parser, "affected agent", allow_empty=False)
     condition = None
     if parser.match_keyword("condition"):
         condition = parser.expect_string().value
-    return BodyDecl(polarity, topic.text, text, behalf, affects, condition,
-                    _span_between(start, parser.last))
+    return Body(polarity, topic.text, text, behalf, affects, condition)
 
 
-def _parse_promise(parser: _Parser) -> PromiseDecl:
+def _parse_promise(parser: _Parser) -> Promise:
     start = parser.expect_keyword("promise")
     name = parser.expect_ident("promise name")
     parser.expect_keyword("from")
     promiser = parser.expect_ident("promiser name")
     parser.expect_keyword("to")
     promisees = _ident_list(parser, "promisee name")
-    scope = None
+    scope = _NO_NAMES
     if parser.match_keyword("scope"):
-        scope = tuple(_parse_bracket_list(parser, "scope agent", allow_empty=True))
-    provenance = None
+        scope = _parse_bracket_list(parser, "scope agent", allow_empty=True)
+    provenance = Provenance.EXPLICIT
     if parser.match_keyword("provenance"):
         parser.expect_punct("=")
-        provenance = parser.expect_choice(PROVENANCES, "provenance").text
+        provenance = parser.expect_choice(PROVENANCES, "provenance")
     parser.expect_punct("{")
     body = _parse_body(parser)
     parser.expect_punct("}")
-    return PromiseDecl(name.text, promiser.text, tuple(promisees), scope, provenance,
-                       body, _span_between(start, parser.last))
+    return Promise(name.text, promiser.text, frozenset(promisees), body, scope, provenance,
+                   _span_between(start, parser.last))
 
 
-def _parse_imposition(parser: _Parser) -> ImpositionDecl:
+def _parse_imposition(parser: _Parser) -> Imposition:
     start = parser.expect_keyword("imposition")
     name = parser.expect_ident("imposition name")
     parser.expect_keyword("from")
     imposer = parser.expect_ident("imposer name")
     parser.expect_keyword("to")
     imposee = parser.expect_ident("imposee name")
-    kind = None
+    kind = ImpositionKind.REQUIREMENT
     if parser.match_keyword("kind"):
         parser.expect_punct("=")
-        kind = parser.expect_choice(IMPOSITION_KINDS, "imposition kind").text
+        kind = parser.expect_choice(IMPOSITION_KINDS, "imposition kind")
     parser.expect_punct("{")
     text = parser.expect_string().value
     parser.expect_punct("}")
-    return ImpositionDecl(name.text, imposer.text, imposee.text, kind, text,
-                          _span_between(start, parser.last))
+    return Imposition(name.text, imposer.text, imposee.text, kind, text,
+                      _span_between(start, parser.last))
 
 
-def _parse_assessment(parser: _Parser) -> AssessmentDecl:
+def _parse_assessment(parser: _Parser) -> Assessment:
+    """An assessment with ordinal 0; `lower` numbers them in source order."""
     start = parser.expect_keyword("assessment")
     name = parser.expect_ident("assessment name")
     parser.expect_keyword("by")
@@ -309,12 +274,12 @@ def _parse_assessment(parser: _Parser) -> AssessmentDecl:
     target = parser.expect_ident("target promise name")
     parser.expect_keyword("verdict")
     parser.expect_punct("=")
-    verdict = parser.expect_choice(VERDICTS, "verdict").text
+    verdict = parser.expect_choice(VERDICTS, "verdict")
     note = None
     if parser.match_keyword("note"):
         note = parser.expect_string().value
-    return AssessmentDecl(name.text, assessor.text, target.text, verdict, note,
-                          _span_between(start, parser.last))
+    return Assessment(name.text, assessor.text, target.text, verdict, note, 0,
+                      _span_between(start, parser.last))
 
 
 _ITEM_PARSERS = {

@@ -301,14 +301,19 @@ def augmenting_chain(length):
 # (100 MB at 5,000)
 @pytest.mark.parametrize("argv, depth", [
     (["check"], 1200), (["export", "--format", "dot"], 1200), (["check"], 10000),
-], ids=["argv0", "argv1", "check-10000"])
+    (["analyze", "--format", "json"], 10000), (["export", "--format", "json"], 10000),
+], ids=["argv0", "argv1", "check-10000", "analyze-json-10000", "export-json-10000"])
 def test_deeply_nested_superagents(tmp_path, argv, depth):
     path = tmp_path / "nested.pml"
     path.write_text(nested_superagents(depth), encoding="utf-8")
     code, out, err = invoke([argv[0], str(path), *argv[1:]])
     assert (code, err) == (0, "")
-    if argv[0] == "export":
+    if argv == ["export", "--format", "dot"]:
         assert out.count("subgraph") == depth
+    elif argv[0] == "export":
+        assert len(json.loads(out)["superagents"]) == depth
+    elif argv[0] == "analyze":
+        assert json.loads(out)["findings"] == []
 
 
 def test_long_augmenting_chain(tmp_path):

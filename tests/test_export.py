@@ -36,7 +36,6 @@ from promisegraph.model import (
     SourceSpan,
     Superagent,
     Verdict,
-    new_graph,
     validate,
     visible_to,
 )
@@ -48,7 +47,7 @@ EMPTY_JSON = (b'{"agents":[],"assessments":[],"impositions":[],'
 
 
 def test_empty_graph_serializes_to_fixed_bytes():
-    assert to_json(new_graph()) == EMPTY_JSON
+    assert to_json(PromiseGraph()) == EMPTY_JSON
 
 
 def test_json_is_canonical_form():
@@ -267,9 +266,9 @@ def rejection_doc(change):
     (rejection_doc(lambda d: d["agents"][0]["span"].update(start=9, end=8)),
      "$.agents[0].span", "span start beyond end"),
     (rejection_doc(lambda d: d["promises"][0]["body"].update(behalf="A")),
-     "$.promises[0]", "promise 'p' made on behalf of its own promiser"),
+     "promises[0].body.behalf", "promise 'p' is made on behalf of its own promiser"),
     (rejection_doc(lambda d: d["impositions"][0].update(to="A")),
-     "$.impositions[0]", "imposition 'i' imposes on its own imposer"),
+     "impositions[0].to", "imposition 'i' imposes on its own imposer"),
     (rejection_doc(lambda d: d["superagents"].append(dict(d["superagents"][0]))),
      "$.superagents[1].id", "duplicate superagent id 'G'"),
     (rejection_doc(lambda d: d["promises"][0]["body"].update(text=None)),
@@ -681,7 +680,7 @@ def test_viewpoint_unknown_observer_raises():
 
 
 def test_dot_empty_graph():
-    assert to_dot(new_graph()) == "digraph promises {}\n"
+    assert to_dot(PromiseGraph()) == "digraph promises {}\n"
 
 
 def test_dot_shapes_edges_and_signs():
@@ -722,31 +721,13 @@ def test_dot_cluster_membership_is_first_declared_wins():
     assert '"A" [' not in g2_block
 
 
-def test_dot_without_clustering_flattens():
-    graph = load("agent A\nsuperagent G { A }\n")
-    dot = to_dot(graph, cluster_superagents=False)
-    assert "subgraph" not in dot
-    assert '"G" [shape=doubleoctagon];' in dot
-
-
-def test_dot_label_mode_id():
-    graph = load(
-        "agent A\nagent B\n"
-        "promise p from A to B { offer t }\n"
-    )
-    assert '[label="+p"]' in to_dot(graph, label="id")
-    with pytest.raises(ValueError):
-        to_dot(graph, label="color")
-
-
-def reference_dot_nodes(graph, cluster_superagents):
+def reference_dot_nodes(graph):
     """The node lines of the earlier `to_dot`, which rescanned every agent
     and superagent for each cluster."""
     owner = {}
-    if cluster_superagents:
-        for superagent in graph.superagents.values():
-            for member in sorted(superagent.members):
-                owner.setdefault(member, superagent.id)
+    for superagent in graph.superagents.values():
+        for member in sorted(superagent.members):
+            owner.setdefault(member, superagent.id)
     lines = []
 
     def node_line(agent, indent):
@@ -754,7 +735,7 @@ def reference_dot_nodes(graph, cluster_superagents):
 
     stack = [
         (superagent, "  ") for name, superagent in reversed(graph.superagents.items())
-        if owner.get(name) is None or not cluster_superagents
+        if owner.get(name) is None
     ]
     while stack:
         item = stack.pop()
@@ -762,23 +743,19 @@ def reference_dot_nodes(graph, cluster_superagents):
             lines.append(item)
             continue
         superagent, indent = item
-        if cluster_superagents:
-            lines.append("%ssubgraph %s {" % (indent, _quote("cluster_" + superagent.id)))
-            inner = indent + "  "
-            lines.append("%slabel=%s;" % (inner, _quote(superagent.id)))
-        else:
-            inner = indent
+        lines.append("%ssubgraph %s {" % (indent, _quote("cluster_" + superagent.id)))
+        inner = indent + "  "
+        lines.append("%slabel=%s;" % (inner, _quote(superagent.id)))
         lines.append("%s%s [shape=doubleoctagon];" % (inner, _quote(superagent.id)))
-        if cluster_superagents:
-            for name in graph.agents:
-                if owner.get(name) == superagent.id:
-                    lines.append(node_line(graph.agents[name], inner))
-            stack.append("%s}" % indent)
-            stack.extend(reversed([(graph.superagents[name], inner)
-                                   for name in graph.superagents
-                                   if owner.get(name) == superagent.id]))
+        for name in graph.agents:
+            if owner.get(name) == superagent.id:
+                lines.append(node_line(graph.agents[name], inner))
+        stack.append("%s}" % indent)
+        stack.extend(reversed([(graph.superagents[name], inner)
+                               for name in graph.superagents
+                               if owner.get(name) == superagent.id]))
     for name, agent in graph.agents.items():
-        if owner.get(name) is None or not cluster_superagents:
+        if owner.get(name) is None:
             lines.append(node_line(agent, "  "))
     return lines
 
@@ -796,18 +773,17 @@ def random_superagent_graph(rng):
     return PromiseGraph(agents=agents, superagents=superagents)
 
 
-@pytest.mark.parametrize("cluster_superagents", [True, False])
-def test_dot_nodes_match_the_reference(cluster_superagents):
+def test_dot_nodes_match_the_reference():
     rng = random.Random(20261018)
     for _ in range(3000):
         graph = random_superagent_graph(rng)
-        expected = reference_dot_nodes(graph, cluster_superagents)
-        dot = to_dot(graph, cluster_superagents=cluster_superagents)
+        expected = reference_dot_nodes(graph)
+        dot = to_dot(graph)
         assert dot == "\n".join(["digraph promises {", *expected, "}"]) + "\n", graph
 
 
 def test_empty_report_renders_exactly():
-    report = analyze_all(new_graph())
+    report = analyze_all(PromiseGraph())
     assert render_report(report) == "0 findings\n"
 
 

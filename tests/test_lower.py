@@ -1,4 +1,4 @@
-"""AST-to-graph lowering: defaults, reference checks, and error batching."""
+"""Document-to-graph lowering: defaults, reference checks, and error batching."""
 
 import random
 
@@ -14,7 +14,6 @@ from promisegraph.model import (
     Agent,
     AgentKind,
     Assessment,
-    Body,
     ErrorCode,
     Imposition,
     ImpositionKind,
@@ -175,7 +174,7 @@ def test_promisees_may_name_superagents():
 
 
 def test_self_behalf_promise_is_still_a_valid_assessment_target():
-    # the promise stays in the validated graph, without the redundant behalf
+    # the promise stays in the graph that `validate` checks
     with pytest.raises(LowerFailure) as exc:
         load(
             "agent A\nagent B\n"
@@ -200,9 +199,7 @@ def test_self_behalf_promise_id_still_counts_for_duplicates():
     ]
 
 
-def test_self_imposition_id_is_not_yet_a_duplicate():
-    # the model cannot hold a self-imposition, so a later imposition that
-    # reuses its id is reported only once the first one is fixed
+def test_self_imposition_id_still_counts_for_duplicates():
     with pytest.raises(LowerFailure) as exc:
         load(
             "agent A\nagent B\n"
@@ -211,14 +208,16 @@ def test_self_imposition_id_is_not_yet_a_duplicate():
         )
     assert [(e.code, e.span.line) for e in exc.value.errors] == [
         (ErrorCode.INVALID_DECLARATION, 3),
+        (ErrorCode.DUPLICATE_ID, 4),
     ]
 
 
 def reference_lower_errors(doc):
     """The lowering of the earlier design: a pre-pass repeating the
-    reference, duplicate and cycle checks over the declarations, then the
-    graph built only if it found nothing, then `validate`. Returns the
-    errors and the graph (None when there are errors)."""
+    reference, duplicate, cycle and self-reference checks over the
+    declarations, then the graph built only if it found nothing, then
+    `validate`. Returns the errors and the graph (None when there are
+    errors)."""
     errors = []
 
     def err(code, message, span):
@@ -228,37 +227,37 @@ def reference_lower_errors(doc):
     promise_decls, imposition_decls, assessment_decls = {}, {}, {}
 
     for item in doc.items:
-        if isinstance(item, ast.AgentDecl):
-            if item.name in agent_decls:
-                err(ErrorCode.DUPLICATE_ID, "duplicate agent %r" % item.name, item.span)
-            elif item.name in superagent_decls:
+        if isinstance(item, Agent):
+            if item.id in agent_decls:
+                err(ErrorCode.DUPLICATE_ID, "duplicate agent %r" % item.id, item.span)
+            elif item.id in superagent_decls:
                 err(ErrorCode.NAMESPACE_CLASH,
-                    "%r is already declared as a superagent" % item.name, item.span)
+                    "%r is already declared as a superagent" % item.id, item.span)
             else:
-                agent_decls[item.name] = item
-        elif isinstance(item, ast.SuperagentDecl):
-            if item.name in superagent_decls:
-                err(ErrorCode.DUPLICATE_ID, "duplicate superagent %r" % item.name, item.span)
-            elif item.name in agent_decls:
+                agent_decls[item.id] = item
+        elif isinstance(item, Superagent):
+            if item.id in superagent_decls:
+                err(ErrorCode.DUPLICATE_ID, "duplicate superagent %r" % item.id, item.span)
+            elif item.id in agent_decls:
                 err(ErrorCode.NAMESPACE_CLASH,
-                    "%r is already declared as an agent" % item.name, item.span)
+                    "%r is already declared as an agent" % item.id, item.span)
             else:
-                superagent_decls[item.name] = item
-        elif isinstance(item, ast.PromiseDecl):
-            if item.name in promise_decls:
-                err(ErrorCode.DUPLICATE_ID, "duplicate promise %r" % item.name, item.span)
+                superagent_decls[item.id] = item
+        elif isinstance(item, Promise):
+            if item.id in promise_decls:
+                err(ErrorCode.DUPLICATE_ID, "duplicate promise %r" % item.id, item.span)
             else:
-                promise_decls[item.name] = item
-        elif isinstance(item, ast.ImpositionDecl):
-            if item.name in imposition_decls:
-                err(ErrorCode.DUPLICATE_ID, "duplicate imposition %r" % item.name, item.span)
+                promise_decls[item.id] = item
+        elif isinstance(item, Imposition):
+            if item.id in imposition_decls:
+                err(ErrorCode.DUPLICATE_ID, "duplicate imposition %r" % item.id, item.span)
             else:
-                imposition_decls[item.name] = item
-        elif isinstance(item, ast.AssessmentDecl):
-            if item.name in assessment_decls:
-                err(ErrorCode.DUPLICATE_ID, "duplicate assessment %r" % item.name, item.span)
+                imposition_decls[item.id] = item
+        elif isinstance(item, Assessment):
+            if item.id in assessment_decls:
+                err(ErrorCode.DUPLICATE_ID, "duplicate assessment %r" % item.id, item.span)
             else:
-                assessment_decls[item.name] = item
+                assessment_decls[item.id] = item
 
     def check_actor(name, context, span):
         if name not in agent_decls and name not in superagent_decls:
@@ -267,25 +266,25 @@ def reference_lower_errors(doc):
 
     for decl in superagent_decls.values():
         for member in decl.members:
-            check_actor(member, "superagent %r member" % decl.name, decl.span)
+            check_actor(member, "superagent %r member" % decl.id, decl.span)
 
     for decl in promise_decls.values():
-        context = "promise %r" % decl.name
+        context = "promise %r" % decl.id
         check_actor(decl.promiser, context, decl.span)
         for name in decl.promisees:
             check_actor(name, context, decl.span)
-        for name in decl.scope or ():
+        for name in decl.scope:
             check_actor(name, context, decl.span)
         for name in decl.body.affects:
             check_actor(name, context, decl.span)
-        if decl.body.behalf is not None:
-            check_actor(decl.body.behalf, context, decl.span)
-            if decl.body.behalf == decl.promiser:
+        if decl.body.behalf_of is not None:
+            check_actor(decl.body.behalf_of, context, decl.span)
+            if decl.body.behalf_of == decl.promiser:
                 err(ErrorCode.INVALID_DECLARATION,
                     "%s is made on behalf of its own promiser" % context, decl.span)
 
     for decl in imposition_decls.values():
-        context = "imposition %r" % decl.name
+        context = "imposition %r" % decl.id
         check_actor(decl.imposer, context, decl.span)
         check_actor(decl.imposee, context, decl.span)
         if decl.imposer == decl.imposee:
@@ -293,19 +292,13 @@ def reference_lower_errors(doc):
                 "%s imposes on its own imposer" % context, decl.span)
 
     for decl in assessment_decls.values():
-        check_actor(decl.assessor, "assessment %r" % decl.name, decl.span)
+        check_actor(decl.assessor, "assessment %r" % decl.id, decl.span)
         if decl.target not in promise_decls:
             err(ErrorCode.UNRESOLVED_REFERENCE,
-                "assessment %r targets unknown promise %r" % (decl.name, decl.target),
+                "assessment %r targets unknown promise %r" % (decl.id, decl.target),
                 decl.span)
 
-    provisional = PromiseGraph(
-        agents={name: Agent(name) for name in agent_decls},
-        superagents={
-            name: Superagent(name, frozenset(decl.members), decl.span)
-            for name, decl in superagent_decls.items()
-        },
-    )
+    provisional = PromiseGraph(agents=agent_decls, superagents=superagent_decls)
     for name in _superagent_cycles(provisional):
         err(ErrorCode.CYCLIC_SUPERAGENT,
             "superagent %r is a member of itself through its membership chain" % name,
@@ -315,53 +308,9 @@ def reference_lower_errors(doc):
         errors.sort(key=lambda e: e.span.start)
         return errors, None
 
-    agents, superagents = {}, {}
-    promises, impositions, assessments = [], [], []
-    for item in doc.items:
-        if isinstance(item, ast.AgentDecl):
-            kind = AgentKind(item.kind) if item.kind is not None else AgentKind.SYSTEM
-            agents[item.name] = Agent(item.name, kind, item.span)
-        elif isinstance(item, ast.SuperagentDecl):
-            superagents[item.name] = Superagent(item.name, frozenset(item.members), item.span)
-        elif isinstance(item, ast.PromiseDecl):
-            body = Body(
-                polarity=Polarity(item.body.polarity),
-                topic=item.body.topic,
-                text=item.body.text or "",
-                behalf_of=item.body.behalf,
-                affects=frozenset(item.body.affects),
-                condition=item.body.condition,
-            )
-            promises.append(Promise(
-                id=item.name,
-                promiser=item.promiser,
-                promisees=frozenset(item.promisees),
-                body=body,
-                scope=frozenset(item.scope or ()),
-                provenance=Provenance(item.provenance) if item.provenance else Provenance.EXPLICIT,
-                span=item.span,
-            ))
-        elif isinstance(item, ast.ImpositionDecl):
-            impositions.append(Imposition(
-                id=item.name,
-                imposer=item.imposer,
-                imposee=item.imposee,
-                kind=ImpositionKind(item.kind) if item.kind else ImpositionKind.REQUIREMENT,
-                text=item.text,
-                span=item.span,
-            ))
-        elif isinstance(item, ast.AssessmentDecl):
-            assessments.append(Assessment(
-                id=item.name,
-                assessor=item.assessor,
-                target=item.target,
-                verdict=Verdict(item.verdict),
-                note=item.note,
-                ordinal=len(assessments),
-                span=item.span,
-            ))
-    graph = PromiseGraph(agents, superagents, tuple(promises), tuple(impositions),
-                         tuple(assessments))
+    assessments = [a._replace(ordinal=i) for i, a in enumerate(assessment_decls.values())]
+    graph = PromiseGraph(agent_decls, superagent_decls, tuple(promise_decls.values()),
+                         tuple(imposition_decls.values()), tuple(assessments))
     leftover = validate(graph)
     return leftover, (None if leftover else graph)
 
@@ -418,23 +367,9 @@ def random_document(rng):
     return "\n".join(lines) + "\n"
 
 
-def reused_self_imposition_ids(doc):
-    """Lines of impositions whose id was used before only by
-    self-impositions: the model cannot hold those, so `validate` does not
-    yet see the later one as a duplicate."""
-    seen, lines = {}, set()
-    for item in doc.items:
-        if isinstance(item, ast.ImpositionDecl):
-            earlier = seen.setdefault(item.name, [])
-            if earlier and all(earlier):
-                lines.add(item.span.line)
-            earlier.append(item.imposer == item.imposee)
-    return lines
-
-
 def test_lowering_matches_the_reference_pre_pass():
     rng = random.Random(20261018)
-    verdicts = {"accepted": 0, "rejected": 0, "exempt": 0}
+    verdicts = {"accepted": 0, "rejected": 0}
     for _ in range(5000):
         source = random_document(rng)
         doc = ast.parse(source)
@@ -445,9 +380,7 @@ def test_lowering_matches_the_reference_pre_pass():
             assert expected_errors, source
             flagged = {e.span.line for e in failure.errors}
             expected = {e.span.line for e in expected_errors}
-            exempt = reused_self_imposition_ids(doc)
-            assert flagged <= expected and expected - flagged <= exempt, source
-            verdicts["exempt"] += expected != flagged
+            assert flagged == expected, source
             verdicts["rejected"] += 1
         else:
             assert not expected_errors, source

@@ -16,7 +16,6 @@ from promisegraph.model import (
     Superagent,
     Verdict,
     expand_members,
-    new_graph,
     validate,
     visible_to,
 )
@@ -46,9 +45,17 @@ def test_superagent_members_must_be_non_empty():
 
 
 def test_promise_rejects_self_behalf():
-    body = Body(Polarity.OFFER, "t", behalf_of="A")
-    with pytest.raises(ValueError):
-        Promise("p", "A", frozenset({"B"}), body)
+    # the promise is built, and `validate` reports it in place of the
+    # reference check of its behalf
+    body = Body(Polarity.OFFER, "t", behalf_of="Ghost")
+    g = graph_of(agents=agents("B"),
+                 promises=(Promise("p", "Ghost", frozenset({"B"}), body),))
+    assert [(e.code, e.locator, e.message) for e in validate(g)] == [
+        (ErrorCode.UNRESOLVED_REFERENCE, ("promises", 0, "from"),
+         "promise 'p' refers to undeclared agent 'Ghost'"),
+        (ErrorCode.INVALID_DECLARATION, ("promises", 0, "body", "behalf"),
+         "promise 'p' is made on behalf of its own promiser"),
+    ]
 
 
 def test_promise_requires_promisees():
@@ -57,8 +64,14 @@ def test_promise_requires_promisees():
 
 
 def test_imposition_rejects_self_imposition():
-    with pytest.raises(ValueError):
-        Imposition("i", "A", "A")
+    # reported by `validate` in place of the reference check of the imposee
+    g = graph_of(impositions=(Imposition("i", "Ghost", "Ghost"),))
+    assert [(e.code, e.locator, e.message) for e in validate(g)] == [
+        (ErrorCode.UNRESOLVED_REFERENCE, ("impositions", 0, "from"),
+         "imposition 'i' refers to undeclared agent 'Ghost'"),
+        (ErrorCode.INVALID_DECLARATION, ("impositions", 0, "to"),
+         "imposition 'i' imposes on its own imposer"),
+    ]
 
 
 def test_expand_members_flattens_nested_superagents():
@@ -119,11 +132,11 @@ def test_promise_by_id_returns_the_first_of_duplicate_ids():
 
 def test_visible_to_unknown_promise_raises():
     with pytest.raises(KeyError):
-        visible_to(new_graph(), "ghost")
+        visible_to(PromiseGraph(), "ghost")
 
 
 def test_validate_accepts_the_empty_graph():
-    assert validate(new_graph()) == []
+    assert validate(PromiseGraph()) == []
 
 
 def test_validate_unresolved_references():

@@ -6,14 +6,21 @@ from collections import Counter
 import pytest
 
 from promisegraph import corpus
+from promisegraph.model import (
+    Agent,
+    AgentKind,
+    Assessment,
+    Imposition,
+    ImpositionKind,
+    Polarity,
+    Promise,
+    Provenance,
+    Superagent,
+    Verdict,
+)
 from promisegraph.parser import (
     _ITEM_PARSERS,
-    AgentDecl,
-    AssessmentDecl,
     Document,
-    ImpositionDecl,
-    PromiseDecl,
-    SuperagentDecl,
     _describe,
     _Parser,
     _Unwind,
@@ -38,13 +45,13 @@ def only_item(source):
 
 def test_agent_minimal():
     item = only_item("agent Boeing")
-    assert isinstance(item, AgentDecl)
-    assert item.name == "Boeing" and item.kind is None
+    assert isinstance(item, Agent)
+    assert item.id == "Boeing" and item.kind is AgentKind.SYSTEM
 
 
 def test_agent_with_kind():
     item = only_item("agent MCAS kind=software")
-    assert item.kind == "software"
+    assert item.kind is AgentKind.SOFTWARE
 
 
 def test_agent_rejects_unknown_kind():
@@ -55,8 +62,8 @@ def test_agent_rejects_unknown_kind():
 
 def test_superagent_members():
     item = only_item("superagent Public { Boeing, Pilots, FAA }")
-    assert isinstance(item, SuperagentDecl)
-    assert item.members == ("Boeing", "Pilots", "FAA")
+    assert isinstance(item, Superagent)
+    assert item.members == frozenset({"Boeing", "Pilots", "FAA"})
 
 
 def test_superagent_requires_members():
@@ -70,34 +77,35 @@ def test_promise_full_form():
         '    offer topic-x "body text" behalf D affects [B] condition "when asked"\n'
         '}'
     )
-    assert isinstance(item, PromiseDecl)
+    assert isinstance(item, Promise)
+    assert item.id == "p1"
     assert item.promiser == "A"
-    assert item.promisees == ("B", "C")
-    assert item.scope == ("S",)
-    assert item.provenance == "inferred"
-    assert item.body.polarity == "offer"
+    assert item.promisees == frozenset({"B", "C"})
+    assert item.scope == frozenset({"S"})
+    assert item.provenance is Provenance.INFERRED
+    assert item.body.polarity is Polarity.OFFER
     assert item.body.topic == "topic-x"
     assert item.body.text == "body text"
-    assert item.body.behalf == "D"
-    assert item.body.affects == ("B",)
+    assert item.body.behalf_of == "D"
+    assert item.body.affects == frozenset({"B"})
     assert item.body.condition == "when asked"
 
 
 def test_promise_minimal_form():
     item = only_item("promise p from A to B { accept t }")
-    assert item.scope is None
-    assert item.provenance is None
-    assert item.body.polarity == "accept"
-    assert item.body.text is None
-    assert item.body.behalf is None
-    assert item.body.affects == ()
+    assert item.scope == frozenset()
+    assert item.provenance is Provenance.EXPLICIT
+    assert item.body.polarity is Polarity.ACCEPT
+    assert item.body.text == ""
+    assert item.body.behalf_of is None
+    assert item.body.affects == frozenset()
     assert item.body.condition is None
 
 
 def test_promise_scope_may_be_empty():
     # an explicit empty scope is how "no-one else may see this" is written
     item = only_item("promise p from A to B scope [] { offer t }")
-    assert item.scope == ()
+    assert item.scope == frozenset()
 
 
 def test_promise_affects_may_not_be_empty():
@@ -118,30 +126,30 @@ def test_promise_body_spans_lines():
     with pytest.raises(ParseFailure):
         parse(source)
     item = only_item("promise p from A to B, C {\n    offer t\n}")
-    assert item.promisees == ("B", "C")
+    assert item.promisees == frozenset({"B", "C"})
 
 
 def test_newlines_inside_braces_are_ignored():
     item = only_item("superagent G {\n    A,\n    B\n}")
-    assert item.members == ("A", "B")
+    assert item.members == frozenset({"A", "B"})
 
 
 def test_imposition_full_form():
     item = only_item('imposition i1 from A to B kind=threat { "pay up" }')
-    assert isinstance(item, ImpositionDecl)
-    assert (item.imposer, item.imposee, item.kind) == ("A", "B", "threat")
+    assert isinstance(item, Imposition)
+    assert (item.imposer, item.imposee, item.kind) == ("A", "B", ImpositionKind.THREAT)
     assert item.text == "pay up"
 
 
-def test_imposition_kind_defaults_to_none():
+def test_imposition_kind_defaults_to_requirement():
     item = only_item('imposition i1 from A to B { "please" }')
-    assert item.kind is None
+    assert item.kind is ImpositionKind.REQUIREMENT
 
 
 def test_assessment_forms():
     item = only_item("assessment a1 by X on p1 verdict=not-kept")
-    assert isinstance(item, AssessmentDecl)
-    assert item.verdict == "not-kept"
+    assert isinstance(item, Assessment)
+    assert item.verdict is Verdict.NOT_KEPT
     assert item.note is None
     noted = only_item('assessment a2 by X on p2 verdict=kept note "observed"')
     assert noted.note == "observed"
@@ -166,7 +174,7 @@ def test_comments_and_blank_lines_between_items():
         "   # indented comment\n"
         "agent B\n"
     )
-    assert [item.name for item in document.items] == ["A", "B"]
+    assert [item.id for item in document.items] == ["A", "B"]
 
 
 def test_empty_document_is_valid():
