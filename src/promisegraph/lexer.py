@@ -1,12 +1,15 @@
 """Tokenizer for the promise-declaration language.
 
 One master pattern is matched at the current position: newlines,
-punctuation, string literals and words are tokens, blanks and `#` comments
-are skipped. A `Token` is a plain tuple of kind, source slice, offsets, line
-and column; its validated `SourceSpan` is built only when a diagnostic or a
-declaration asks for it. Offsets and columns count code points of the
-decoded text, and every token's offsets slice exactly its text out of the
-source (the lossless-lexing property is tested against this).
+punctuation, string literals and words are tokens. The blanks and `#`
+comment in front of a token are matched with it, not as matches of their
+own, so each match yields one token; those after the last token are
+skipped before EOF. A `Token` is a plain tuple of kind, source slice,
+offsets, line and column; its validated `SourceSpan` is built only when a
+diagnostic or a declaration asks for it. Offsets and columns count code
+points of the decoded text, and every token's offsets slice exactly its
+text out of the source (the lossless-lexing property is tested against
+this).
 """
 
 from __future__ import annotations
@@ -29,9 +32,11 @@ TOP_LEVEL_KEYWORDS = frozenset({
 })
 
 _STRING_PREFIX = r'"[^"\\\n]*(?:\\["\\][^"\\\n]*)*'
+# the lookahead keeps a comment from backtracking to expose a token inside it
 _TOKEN_RE = re.compile(
-    r'(?P<newline>\n)|[ \t\r]+|#[^\n]*|(?P<punctuation>[={}\[\],])'
-    r'|(?P<string>' + _STRING_PREFIX + r'")|(?P<word>[A-Za-z][A-Za-z0-9_-]*)')
+    r'[ \t\r]*(?:#[^\n]*(?![^\n]))?(?:(?P<newline>\n)|(?P<punctuation>[={}\[\],])'
+    r'|(?P<string>' + _STRING_PREFIX + r'")|(?P<word>[A-Za-z][A-Za-z0-9_-]*))')
+_TRAILING_RE = re.compile(r'[ \t\r]*(?:#[^\n]*)?')
 _STRING_PREFIX_RE = re.compile(_STRING_PREFIX)
 _ESCAPE_RE = re.compile(r'\\(["\\])')
 
@@ -43,6 +48,10 @@ class TokenKind(Enum):
     PUNCTUATION = "punctuation"
     NEWLINE = "newline"
     EOF = "eof"
+
+
+# module names: a name lookup is several times cheaper than `TokenKind.EOF`
+KEYWORD, IDENTIFIER, STRING, PUNCTUATION, NEWLINE, EOF = TokenKind
 
 
 class Token(NamedTuple):
@@ -60,9 +69,11 @@ class Token(NamedTuple):
     @property
     def value(self) -> str:
         """Decoded payload: for strings the unescaped content, else the text."""
-        if self.kind is not TokenKind.STRING:
+        if self.kind is not STRING:
             return self.text
-        return _ESCAPE_RE.sub(r"\1", self.text[1:-1])
+        body = self.text[1:-1]
+        # every escape starts with a backslash
+        return _ESCAPE_RE.sub(r"\1", body) if "\\" in body else body
 
 
 class ParseError(NamedTuple):
@@ -83,8 +94,7 @@ class ParseFailure(Exception):
         self.errors = errors
 
 
-_GROUP_KINDS = {"newline": TokenKind.NEWLINE, "punctuation": TokenKind.PUNCTUATION,
-                "string": TokenKind.STRING}
+_GROUP_KINDS = {"newline": NEWLINE, "punctuation": PUNCTUATION, "string": STRING}
 
 
 def _lex_error(text: str, pos: int, line: int, column: int) -> ParseFailure:
@@ -105,22 +115,24 @@ def tokenize(text: str) -> List[Token]:
     first unterminated string, illegal escape or illegal character."""
     tokens: List[Token] = []
     match = _TOKEN_RE.match
+    new = tuple.__new__  # skips NamedTuple.__new__'s Python frame
     pos, line, line_start = 0, 1, 0
-    while pos < len(text):
-        found = match(text, pos)
-        if found is None:
-            raise _lex_error(text, pos, line, pos - line_start + 1)
-        end = found.end()
+    while (found := match(text, pos)) is not None:
         group = found.lastgroup
+        start, end = found.span(group)
+        if start == pos:
+            start = pos  # share the previous token's `end` int: one per token, not two
+        lexeme = text[start:end]
         if group == "word":
-            word = found.group()
-            kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENTIFIER
-            tokens.append(Token(kind, word, pos, end, line, pos - line_start + 1))
-        elif group is not None:
-            tokens.append(Token(_GROUP_KINDS[group], found.group(), pos, end, line,
-                                pos - line_start + 1))
-            if group == "newline":
-                line, line_start = line + 1, end
+            kind = KEYWORD if lexeme in KEYWORDS else IDENTIFIER
+        else:
+            kind = _GROUP_KINDS[group]
+        tokens.append(new(Token, (kind, lexeme, start, end, line, start - line_start + 1)))
+        if kind is NEWLINE:
+            line, line_start = line + 1, end
         pos = end
-    tokens.append(Token(TokenKind.EOF, "", pos, pos, line, pos - line_start + 1))
+    pos = _TRAILING_RE.match(text, pos).end()
+    if pos < len(text):
+        raise _lex_error(text, pos, line, pos - line_start + 1)
+    tokens.append(new(Token, (EOF, "", pos, pos, line, pos - line_start + 1)))
     return tokens

@@ -16,11 +16,16 @@ from enum import Enum
 from typing import Dict, FrozenSet, List, NamedTuple, Tuple, Union
 
 from .lexer import (
+    EOF,
+    IDENTIFIER,
+    KEYWORD,
+    NEWLINE,
+    PUNCTUATION,
+    STRING,
     TOP_LEVEL_KEYWORDS,
     ParseError,
     ParseFailure,
     Token,
-    TokenKind,
     tokenize,
 )
 from .model import (
@@ -43,6 +48,9 @@ AGENT_KINDS = {k.value: k for k in AgentKind}
 PROVENANCES = {p.value: p for p in Provenance}
 IMPOSITION_KINDS = {k.value: k for k in ImpositionKind}
 VERDICTS = {v.value: v for v in Verdict}
+
+# module names: a name lookup is several times cheaper than `Polarity.OFFER`
+OFFER, ACCEPT = Polarity
 
 # shared by every omitted scope and affects clause
 _NO_NAMES: FrozenSet[str] = frozenset()
@@ -81,15 +89,15 @@ class _Parser:
 
     def advance(self) -> Token:
         token = self.tokens[self.pos]
-        if token.kind is not TokenKind.EOF:
+        if token.kind is not EOF:
             self.pos += 1
-        if token.kind is TokenKind.PUNCTUATION:
+        if token.kind is PUNCTUATION:
             if token.text in "{[":
                 self.depth += 1
             elif token.text in "}]":
                 self.depth = max(0, self.depth - 1)
         if self.depth:
-            while self.tokens[self.pos].kind is TokenKind.NEWLINE:
+            while self.tokens[self.pos].kind is NEWLINE:
                 self.pos += 1
         self.last = token
         return token
@@ -99,32 +107,32 @@ class _Parser:
 
     def match_keyword(self, word: str) -> bool:
         token = self.peek()
-        if token.kind is TokenKind.KEYWORD and token.text == word:
+        if token.kind is KEYWORD and token.text == word:
             self.advance()
             return True
         return False
 
     def expect_keyword(self, word: str) -> Token:
         token = self.peek()
-        if token.kind is not TokenKind.KEYWORD or token.text != word:
+        if token.kind is not KEYWORD or token.text != word:
             self.fail("expected keyword %r, found %s" % (word, _describe(token)))
         return self.advance()
 
     def expect_ident(self, what: str = "identifier") -> Token:
         token = self.peek()
-        if token.kind is not TokenKind.IDENTIFIER:
+        if token.kind is not IDENTIFIER:
             self.fail("expected %s, found %s" % (what, _describe(token)))
         return self.advance()
 
     def expect_punct(self, char: str) -> Token:
         token = self.peek()
-        if token.kind is not TokenKind.PUNCTUATION or token.text != char:
+        if token.kind is not PUNCTUATION or token.text != char:
             self.fail("expected %r, found %s" % (char, _describe(token)))
         return self.advance()
 
     def expect_string(self) -> Token:
         token = self.peek()
-        if token.kind is not TokenKind.STRING:
+        if token.kind is not STRING:
             self.fail("expected string literal, found %s" % _describe(token))
         return self.advance()
 
@@ -139,21 +147,21 @@ class _Parser:
     def recover(self) -> None:
         """Skip to the next top-level keyword (or EOF)."""
         self.depth = 0
-        if self.tokens[self.pos].kind is not TokenKind.EOF:
+        if self.tokens[self.pos].kind is not EOF:
             self.pos += 1
         while True:
             token = self.tokens[self.pos]
-            if token.kind is TokenKind.EOF:
+            if token.kind is EOF:
                 return
-            if token.kind is TokenKind.KEYWORD and token.text in TOP_LEVEL_KEYWORDS:
+            if token.kind is KEYWORD and token.text in TOP_LEVEL_KEYWORDS:
                 return
             self.pos += 1
 
 
 def _describe(token: Token) -> str:
-    if token.kind is TokenKind.EOF:
+    if token.kind is EOF:
         return "end of input"
-    if token.kind is TokenKind.NEWLINE:
+    if token.kind is NEWLINE:
         return "end of line"
     return "%s %r" % (token.kind.value, token.text)
 
@@ -164,7 +172,7 @@ def _span_between(start: Token, end: Token) -> SourceSpan:
 
 def _ident_list(parser: _Parser, what: str) -> List[str]:
     names = [parser.expect_ident(what).text]
-    while parser.peek().kind is TokenKind.PUNCTUATION and parser.peek().text == ",":
+    while parser.peek().kind is PUNCTUATION and parser.peek().text == ",":
         parser.advance()
         names.append(parser.expect_ident(what).text)
     return names
@@ -192,7 +200,7 @@ def _parse_superagent(parser: _Parser) -> Superagent:
 def _parse_bracket_list(parser: _Parser, what: str, allow_empty: bool) -> FrozenSet[str]:
     parser.expect_punct("[")
     closing = parser.peek()
-    if closing.kind is TokenKind.PUNCTUATION and closing.text == "]":
+    if closing.kind is PUNCTUATION and closing.text == "]":
         if not allow_empty:
             parser.fail("expected at least one %s" % what)
         parser.advance()
@@ -204,14 +212,14 @@ def _parse_bracket_list(parser: _Parser, what: str, allow_empty: bool) -> Frozen
 
 def _parse_body(parser: _Parser) -> Body:
     if parser.match_keyword("offer"):
-        polarity = Polarity.OFFER
+        polarity = OFFER
     elif parser.match_keyword("accept"):
-        polarity = Polarity.ACCEPT
+        polarity = ACCEPT
     else:
         parser.fail("expected keyword 'offer' or 'accept', found %s" % _describe(parser.peek()))
     topic = parser.expect_ident("topic")
     text = ""
-    if parser.peek().kind is TokenKind.STRING:
+    if parser.peek().kind is STRING:
         text = parser.advance().value
     behalf = None
     if parser.match_keyword("behalf"):
@@ -299,17 +307,17 @@ def parse(text: str) -> Document:
     errors: List[ParseError] = []
 
     while True:
-        while parser.peek().kind is TokenKind.NEWLINE:
+        while parser.peek().kind is NEWLINE:
             parser.pos += 1
         token = parser.peek()
-        if token.kind is TokenKind.EOF:
+        if token.kind is EOF:
             break
         try:
-            if token.kind is not TokenKind.KEYWORD or token.text not in _ITEM_PARSERS:
+            if token.kind is not KEYWORD or token.text not in _ITEM_PARSERS:
                 parser.fail("expected a declaration, found %s" % _describe(token))
             items.append(_ITEM_PARSERS[token.text](parser))
             terminator = parser.peek()
-            if terminator.kind not in (TokenKind.NEWLINE, TokenKind.EOF):
+            if terminator.kind not in (NEWLINE, EOF):
                 parser.fail("expected end of statement, found %s" % _describe(terminator))
         except _Unwind as unwind:
             errors.append(unwind.error)

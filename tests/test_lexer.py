@@ -82,6 +82,9 @@ def test_comments_run_to_end_of_line():
         TokenKind.IDENTIFIER, TokenKind.NEWLINE, TokenKind.IDENTIFIER,
         TokenKind.EOF,
     ]
+    # a comment that ends the input hides every token-like piece in it
+    assert kinds('= #"x" a') == [TokenKind.PUNCTUATION, TokenKind.EOF]
+    assert kinds('a # b "c { d') == [TokenKind.IDENTIFIER, TokenKind.EOF]
 
 
 def test_string_escapes_unescape_in_value():
@@ -341,9 +344,12 @@ def test_tokenize_matches_reference_on_corpus_slices(data):
 
 def test_error_spans_match_reference():
     for source in ('x "open', 'x "open\nnext', '"bad \\n"', '"end \\', 'a\n  é',
-                   '"ok" \x00', '"\\"\\\\', '\n\n  "a\\"b'):
+                   '"ok" \x00', '"\\"\\\\', '\n\n  "a\\"b', 'a  @', 'a \t"open',
+                   'a\r\n  # c\n \t@'):
         assert lexed(tokenize, source) == lexed(reference_tokenize, source)
         assert lexed(tokenize, source)[0] == "error"
+    # blanks and a comment before EOF leave the EOF token after them
+    assert lexed(tokenize, 'a # note') == lexed(reference_tokenize, 'a # note')
 
 
 # --- span semantics: code-point offsets into the decoded text ----------------
