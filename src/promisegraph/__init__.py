@@ -20,8 +20,8 @@ _NAMES = {
     "analysis": "AnalysisConfig AnalysisReport Binding Finding FindingRule Severity "
                 "TrustParams TrustTable analyze_all behalf_violations bind "
                 "imposition_pressure polarity_census scope_audit single_source trust unbound",
-    "export": "JsonError ReportFormat ViewpointGraph from_json render_report to_dot "
-              "to_json viewpoint",
+    "export": "JsonError ReportFormat ViewpointGraph from_json render_report render_trust "
+              "to_dot to_json viewpoint",
     "lexer": "ParseError ParseFailure Token TokenKind tokenize",
     "lower": "LowerFailure load lower",
     "model": "Agent AgentKind Assessment Body ErrorCode Imposition ImpositionKind "

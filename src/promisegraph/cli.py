@@ -6,7 +6,10 @@ Exit code 0: success (and, for analyze/report, no finding at or above the
 input (parse, validation, IO, or flag errors). 3: an internal error, a bug
 in promisegraph; it is reported as one `error: internal: <Type>: <message>`
 line, never as a traceback. Diagnostics go to stderr, artifacts to stdout,
-so json/dot output can be piped safely.
+so json/dot output can be piped safely. `run` writes only to the streams it
+is given, argparse's messages included, and reads a file's text untranslated,
+as it reads stdin. Apart from `report`'s summary line, stdout gets only what
+an `export` renderer returns.
 
 Analysis and export are imported only by the commands that run them, so
 `check` never loads them, and `main` runs with the cyclic garbage collector
@@ -17,6 +20,7 @@ its input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import os
 import sys
@@ -74,6 +78,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 
     report = commands.add_parser("report", help="human-readable summary")
     add_input(report)
+    report.set_defaults(format="text")
     add_analysis_flags(report)
 
     return root
@@ -82,7 +87,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 def _read_input(path: str, stdin: IO[str]) -> str:
     if path == "-":
         return stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", newline="") as handle:
         return handle.read()
 
 
@@ -118,7 +123,8 @@ def run(argv: List[str], stdin: IO[str] = None, stdout: IO[str] = None,
 
     arg_parser = _build_arg_parser()
     try:
-        args = arg_parser.parse_args(argv)
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            args = arg_parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags, 0 on --help
         return int(exc.code or 0)
@@ -140,51 +146,6 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str], stdout: IO[str],
     if args.command == "check":
         return 0
 
-    if args.command in ("analyze", "report"):
-        from .analysis import AnalysisConfig, Severity, TrustParams, analyze_all
-        from .export import ReportFormat, render_report
-        try:
-            config = AnalysisConfig(
-                quorum=args.quorum,
-                trust=TrustParams(args.trust_initial, args.trust_alpha,
-                                  args.trust_beta),
-            )
-        except ValueError as exc:
-            print("error: %s" % exc, file=stderr)
-            return 2
-        report = analyze_all(graph, config)
-        if args.command == "report":
-            format_ = ReportFormat.TEXT
-        else:
-            format_ = ReportFormat(args.format)
-        color = format_ is ReportFormat.TEXT and _want_color(stdout)
-        if args.command == "report":
-            stdout.write("%d agents, %d promises, %d impositions, %d assessments\n"
-                         % (len(graph.agents), len(graph.promises),
-                            len(graph.impositions), len(graph.assessments)))
-        stdout.write(render_report(report, format_, color=color))
-        threshold = Severity(args.fail_on).rank
-        return 1 if any(f.severity.rank >= threshold for f in report.findings) else 0
-
-    if args.command == "trust":
-        from .analysis import TrustParams, trust
-        from .export import _canonical, _trust_rows
-        try:
-            params = TrustParams(args.trust_initial, args.trust_alpha,
-                                 args.trust_beta)
-        except ValueError as exc:
-            print("error: %s" % exc, file=stderr)
-            return 2
-        table = trust(graph, params)
-        rows = _trust_rows(table)
-        if args.format == "json":
-            payload = {"initial": table.initial, "trust": rows}
-            stdout.write(_canonical(payload).decode("utf-8"))
-        else:
-            for row in rows:
-                stdout.write("%(assessor)s -> %(subject)s: %(value)r\n" % row)
-        return 0
-
     if args.command == "export":
         from .export import to_dot, to_json, viewpoint
         target = graph
@@ -201,7 +162,29 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str], stdout: IO[str],
             stdout.write(to_json(target).decode("utf-8"))
         return 0
 
-    raise AssertionError("unhandled command %r" % args.command)
+    # analyze, report and trust
+    from .analysis import AnalysisConfig, Severity, TrustParams, analyze_all, trust
+    from .export import ReportFormat, render_report, render_trust
+    format_ = ReportFormat(args.format)
+    try:
+        params = TrustParams(args.trust_initial, args.trust_alpha, args.trust_beta)
+        if args.command != "trust":
+            config = AnalysisConfig(quorum=args.quorum, trust=params)
+    except ValueError as exc:
+        print("error: %s" % exc, file=stderr)
+        return 2
+    if args.command == "trust":
+        stdout.write(render_trust(trust(graph, params), format_))
+        return 0
+    report = analyze_all(graph, config)
+    if args.command == "report":
+        stdout.write("%d agents, %d promises, %d impositions, %d assessments\n"
+                     % (len(graph.agents), len(graph.promises),
+                        len(graph.impositions), len(graph.assessments)))
+    color = format_ is ReportFormat.TEXT and _want_color(stdout)
+    stdout.write(render_report(report, format_, color=color))
+    threshold = Severity(args.fail_on).rank
+    return 1 if any(f.severity.rank >= threshold for f in report.findings) else 0
 
 
 def main() -> None:

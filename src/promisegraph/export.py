@@ -1,5 +1,5 @@
 """Serialization and rendering: canonical JSON round-trip, viewpoint
-filtering, Graphviz DOT output, and report rendering.
+filtering, Graphviz DOT output, and report and trust-table rendering.
 
 Canonical form everywhere: object keys sorted, entity lists in declaration
 order, set-valued fields sorted, output newline-terminated. Equal graphs
@@ -407,9 +407,21 @@ def render_report(report: AnalysisReport, format: ReportFormat = ReportFormat.TE
                          % (agent, topic, offers_in, accepts_out))
     if report.trust.entries:
         lines.append("trust")
-        for (assessor, subject), value in sorted(report.trust.entries.items()):
-            lines.append("  %s -> %s: %r" % (assessor, subject, value))
+        lines.extend("  " + line for line in _trust_lines(report.trust))
     return "\n".join(lines) + "\n"
+
+
+def render_trust(table: TrustTable, format: ReportFormat = ReportFormat.TEXT) -> str:
+    """Render a trust table: one `assessor -> subject: value` line per pair,
+    sorted, or JSON `{"initial", "trust"}` with the report's trust rows."""
+    if format is ReportFormat.JSON:
+        return _canonical({"initial": table.initial, "trust": _trust_rows(table)}).decode("utf-8")
+    return "".join(line + "\n" for line in _trust_lines(table))
+
+
+def _trust_lines(table: TrustTable) -> List[str]:
+    return ["%s -> %s: %r" % (assessor, subject, value)
+            for (assessor, subject), value in sorted(table.entries.items())]
 
 
 def _report_obj(report: AnalysisReport) -> dict:

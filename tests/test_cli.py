@@ -83,14 +83,46 @@ def test_missing_file_exits_two():
     assert "error:" in err
 
 
-def test_bad_flag_exits_two(toy_path):
+def test_bad_flag_exits_two(toy_path, capsys):
     code, out, err = invoke(["analyze", toy_path, "--format", "pdf"])
-    assert code == 2
+    assert (code, out) == (2, "")
+    assert "usage:" in err
+    assert capsys.readouterr() == ("", "")
 
 
-def test_unknown_command_exits_two():
+def test_unknown_command_exits_two(capsys):
     code, out, err = invoke(["frobnicate", "x.pml"])
-    assert code == 2
+    assert (code, out) == (2, "")
+    assert "usage:" in err
+    assert capsys.readouterr() == ("", "")
+
+
+def test_help_goes_to_the_given_stdout(capsys):
+    code, out, err = invoke(["--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: promisegraph")
+    assert capsys.readouterr() == ("", "")
+
+
+# a CRLF file and a file whose lines end in a lone CR
+@pytest.mark.parametrize("text", ["agent A\r\nagent B\r\n", "agent A\ragent B\n"],
+                         ids=["crlf", "cr"])
+@pytest.mark.parametrize("argv", [["check"], ["export", "--format", "json"]],
+                         ids=["check", "export"])
+def test_a_file_reads_as_its_text_does_on_stdin(tmp_path, text, argv):
+    path = tmp_path / "doc.pml"
+    path.write_bytes(text.encode("utf-8"))
+    by_path = invoke([argv[0], str(path), *argv[1:]])
+    by_stdin = invoke([argv[0], "-", *argv[1:]], stdin_text=text)
+    stderr = by_stdin[2].replace("error: -:", "error: %s:" % path)
+    assert by_path == (by_stdin[0], by_stdin[1], stderr)
+    code, out, _ = by_path
+    assert code == (0 if "\r\n" in text else 2)  # a lone \r is a blank, not a line end
+    if argv[0] == "export" and code == 0:
+        for agent in json.loads(out)["agents"]:
+            span = agent["span"]
+            assert text[span["start"]:span["end"]] == "agent " + agent["id"]
+            assert text[:span["start"]].count("\n") + 1 == span["line"]
 
 
 def test_stdin_dash(clean_toy_source):
@@ -158,12 +190,24 @@ def test_trust_json(corpus_path):
     assert {e["subject"] for e in decoded["trust"]} == {"Benno-Baksteen", "Boeing"}
 
 
-def test_trust_json_rows_match_the_analyze_report(corpus_path):
-    code, out, err = invoke(["trust", corpus_path, "--format", "json"])
-    assert code == 0
-    _, report, _ = invoke(["analyze", corpus_path, "--format", "json"])
-    assert json.loads(out)["trust"] == json.loads(report)["trust"]
-    assert json.loads(out)["trust"]
+def test_trust_json_rows_match_the_analyze_report(corpus_path, toy_path):
+    # the toy has no assessments, so its trust table is empty
+    for path, assessed in [(corpus_path, True), (toy_path, False)]:
+        code, out, err = invoke(["trust", path, "--format", "json"])
+        assert (code, err) == (0, "")
+        _, report, _ = invoke(["analyze", path, "--format", "json"])
+        assert json.loads(out)["trust"] == json.loads(report)["trust"]
+        assert bool(json.loads(out)["trust"]) is assessed
+
+        # text: the report's trust section, the last one, without its indent
+        code, out, err = invoke(["trust", path])
+        assert (code, err) == (0, "")
+        _, report, _ = invoke(["analyze", path])
+        lines = report.splitlines()
+        section = lines[lines.index("trust") + 1:] if assessed else []
+        assert all(line.startswith("  ") for line in section)
+        assert out == "".join(line[2:] + "\n" for line in section)
+        assert bool(out) is assessed
 
 
 def test_trust_flags_change_the_arithmetic(corpus_path):
@@ -217,11 +261,19 @@ def test_export_unknown_viewpoint_exits_two(corpus_path):
     assert "Martians" in err
 
 
-def test_report_command(corpus_path):
+def test_report_command(corpus_path, toy_path):
     code, out, err = invoke(["report", corpus_path])
     assert code == 1  # violations present
     assert out.startswith("16 agents, 23 promises, 2 impositions, 3 assessments")
     assert "27 findings" in out
+
+    # the summary line, then exactly what `analyze` prints
+    for path, summary in [(corpus_path, "16 agents, 23 promises, 2 impositions, 3 assessments"),
+                          (toy_path, "2 agents, 2 promises, 0 impositions, 0 assessments")]:
+        code, out, err = invoke(["report", path])
+        analyzed = invoke(["analyze", path])
+        assert (code, err) == (analyzed[0], analyzed[2]) == (analyzed[0], "")
+        assert out == summary + "\n" + analyzed[1]
 
 
 def test_no_color_env_disables_ansi(corpus_path, monkeypatch):
