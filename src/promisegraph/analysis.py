@@ -7,7 +7,6 @@ into one deterministic report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -51,49 +50,51 @@ class Binding(NamedTuple):
     topic: str
 
 
-@dataclass(frozen=True)
-class Finding:
-    rule: FindingRule
-    severity: Severity
-    subjects: Tuple[str, ...]
-    message: str
-    span: SourceSpan
+class Finding(NamedTuple("Finding", [("rule", FindingRule), ("severity", Severity),
+                                     ("subjects", Tuple[str, ...]), ("message", str),
+                                     ("span", SourceSpan)])):
+    """Construction raises ValueError for a finding without subjects."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "Finding":
+        self = super().__new__(cls, *args, **kwargs)
         if not self.subjects:
             raise ValueError("finding without subjects")
+        return self
 
 
-@dataclass(frozen=True)
-class TrustParams:
-    initial: float = 0.5
-    alpha: float = 0.2
-    beta: float = 0.6
+class TrustParams(NamedTuple("TrustParams", [("initial", float), ("alpha", float),
+                                             ("beta", float)])):
+    """Construction raises ValueError for a value outside [0, 1], NaN included."""
 
-    def __post_init__(self) -> None:
-        for name in ("initial", "alpha", "beta"):
-            value = getattr(self, name)
+    __slots__ = ()
+
+    def __new__(cls, initial: float = 0.5, alpha: float = 0.2, beta: float = 0.6) -> "TrustParams":
+        self = super().__new__(cls, initial, alpha, beta)
+        for name, value in zip(self._fields, self):
             if not 0.0 <= value <= 1.0:
                 raise ValueError("trust parameter %s=%r outside [0,1]" % (name, value))
+        return self
 
 
-@dataclass(frozen=True)
-class TrustTable:
+class TrustTable(NamedTuple):
     initial: float
-    entries: Dict[Tuple[str, str], float] = field(default_factory=dict)
+    entries: Dict[Tuple[str, str], float]
 
     def get(self, assessor: str, subject: str) -> float:
         return self.entries.get((assessor, subject), self.initial)
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
-    quorum: int = 2
-    trust: TrustParams = TrustParams()
+class AnalysisConfig(NamedTuple("AnalysisConfig", [("quorum", int), ("trust", TrustParams)])):
+    """Construction raises ValueError for a quorum below 1."""
 
-    def __post_init__(self) -> None:
-        if self.quorum < 1:
+    __slots__ = ()
+
+    def __new__(cls, quorum: int = 2, trust: TrustParams = TrustParams()) -> "AnalysisConfig":
+        if quorum < 1:
             raise ValueError("quorum must be >= 1")
+        return super().__new__(cls, quorum, trust)
 
 
 class AnalysisReport(NamedTuple):
@@ -161,7 +162,8 @@ def bind(graph: PromiseGraph) -> List[Binding]:
     """The maximum offer/accept matching, choosing the lexicographically
     earliest pairs (by declaration order) among equally large matchings.
 
-    One maximum matching is solved up front. The pairs are then walked in
+    One maximum matching is solved up front, by one augmenting search per
+    offer in declaration order (Kuhn's algorithm). The pairs are then walked in
     order while that matching stays maximum and holds every chosen pair; a
     pair is chosen when the matching can be repaired to contain it without
     shrinking, by one alternating path through the vertices not yet fixed.
@@ -174,7 +176,14 @@ def bind(graph: PromiseGraph) -> List[Binding]:
     mate: Dict[int, int] = {}
     fixed: Set[int] = set()
     for oi in dict.fromkeys(oi for oi, _ in pairs):
-        _augment(oi, adjacency, mate, fixed)
+        # take the first free accept; search for a path only when none is
+        # free, so twin offers do not search through each other's accepts
+        for ai in adjacency[oi]:
+            if ai not in mate:
+                mate[oi], mate[ai] = ai, oi
+                break
+        else:
+            _augment(oi, adjacency, mate, fixed)
 
     chosen: List[Tuple[int, int]] = []
     for oi, ai in pairs:
@@ -208,26 +217,19 @@ def bind(graph: PromiseGraph) -> List[Binding]:
 
 def unbound(graph: PromiseGraph, bindings: Sequence[Binding]) -> List[Finding]:
     """A warning for every promise that found no complementary partner."""
-    bound_offers = {b.offer for b in bindings}
-    bound_accepts = {b.accept for b in bindings}
+    by_polarity = {
+        Polarity.OFFER: (FindingRule.UNBOUND_OFFER, {b.offer for b in bindings},
+                         "offer %r of topic %r by %s is not accepted by any promisee"),
+        Polarity.ACCEPT: (FindingRule.UNBOUND_ACCEPT, {b.accept for b in bindings},
+                          "acceptance %r of topic %r by %s matches no declared offer"),
+    }
     findings: List[Finding] = []
     for promise in graph.promises:
-        if promise.body.polarity is Polarity.OFFER and promise.id not in bound_offers:
+        rule, bound, message = by_polarity[promise.body.polarity]
+        if promise.id not in bound:
             findings.append(Finding(
-                FindingRule.UNBOUND_OFFER, Severity.WARNING,
-                (promise.id, promise.promiser),
-                "offer %r of topic %r by %s is not accepted by any promisee"
-                % (promise.id, promise.body.topic, promise.promiser),
-                promise.span,
-            ))
-        elif promise.body.polarity is Polarity.ACCEPT and promise.id not in bound_accepts:
-            findings.append(Finding(
-                FindingRule.UNBOUND_ACCEPT, Severity.WARNING,
-                (promise.id, promise.promiser),
-                "acceptance %r of topic %r by %s matches no declared offer"
-                % (promise.id, promise.body.topic, promise.promiser),
-                promise.span,
-            ))
+                rule, Severity.WARNING, (promise.id, promise.promiser),
+                message % (promise.id, promise.body.topic, promise.promiser), promise.span))
     return findings
 
 

@@ -139,6 +139,17 @@ def run(argv: List[str], stdin: IO[str] = None, stdout: IO[str] = None,
 
 def _dispatch(args: argparse.Namespace, stdin: IO[str], stdout: IO[str],
               stderr: IO[str]) -> int:
+    if args.command in ("analyze", "report", "trust"):
+        # flags first: a bad one exits 2 before the input is read
+        from .analysis import AnalysisConfig, TrustParams
+        try:
+            params = TrustParams(args.trust_initial, args.trust_alpha, args.trust_beta)
+            if args.command != "trust":
+                config = AnalysisConfig(quorum=args.quorum, trust=params)
+        except ValueError as exc:
+            print("error: %s" % exc, file=stderr)
+            return 2
+
     graph = _load_graph(args.input, stdin, stderr)
     if graph is None:
         return 2
@@ -153,8 +164,7 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str], stdout: IO[str],
             try:
                 target = viewpoint(graph, args.viewpoint).graph
             except KeyError:
-                print("error: unknown viewpoint agent %r" % args.viewpoint,
-                      file=stderr)
+                print("error: unknown viewpoint agent %r" % args.viewpoint, file=stderr)
                 return 2
         if args.format == "dot":
             stdout.write(to_dot(target))
@@ -163,16 +173,9 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str], stdout: IO[str],
         return 0
 
     # analyze, report and trust
-    from .analysis import AnalysisConfig, Severity, TrustParams, analyze_all, trust
+    from .analysis import Severity, analyze_all, trust
     from .export import ReportFormat, render_report, render_trust
     format_ = ReportFormat(args.format)
-    try:
-        params = TrustParams(args.trust_initial, args.trust_alpha, args.trust_beta)
-        if args.command != "trust":
-            config = AnalysisConfig(quorum=args.quorum, trust=params)
-    except ValueError as exc:
-        print("error: %s" % exc, file=stderr)
-        return 2
     if args.command == "trust":
         stdout.write(render_trust(trust(graph, params), format_))
         return 0

@@ -7,9 +7,8 @@ two encodings cross-check each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from ..lower import load
 from ..model import PromiseGraph
@@ -17,8 +16,7 @@ from ..model import PromiseGraph
 CORPUS_FILENAME = "boeing-737max.pml"
 
 
-@dataclass(frozen=True)
-class GoldenSummary:
+class GoldenSummary(NamedTuple):
     agent_count: int
     promise_count: int
     imposition_count: int

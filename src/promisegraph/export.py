@@ -158,8 +158,7 @@ def _enum(enum_type: Type[Enum]) -> _Reader:
 
 class _Object:
     """Reads a JSON object into `model(**arguments)`. `fields` are
-    (JSON key, constructor argument, value reader) in to_json key order;
-    a ValueError from the model is reported at the object's path."""
+    (JSON key, constructor argument, value reader) in to_json key order."""
 
     def __init__(self, model: Callable[..., object], *fields: Tuple[str, str, _Reader]):
         self.model = model
@@ -175,12 +174,8 @@ class _Object:
                 raise JsonError("%s.%s" % (path, min(extra)), "unexpected key")
             missing = next(key for key, _, _, _ in self.fields if key not in value)
             raise JsonError("%s.%s" % (path, missing), "missing key")
-        arguments = {argument: read(value[key], path + suffix)
-                     for key, argument, read, suffix in self.fields}
-        try:
-            return self.model(**arguments)
-        except ValueError as exc:
-            raise JsonError(path, str(exc))
+        return self.model(**{argument: read(value[key], path + suffix)
+                             for key, argument, read, suffix in self.fields})
 
 
 def _tuple_of(read: _Reader) -> _Reader:
@@ -238,13 +233,13 @@ def from_json(data: Union[bytes, str]) -> PromiseGraph:
     """Parse canonical (or hand-written) graph JSON; inverse of to_json.
 
     Raises only JsonError. The schema is the `_GRAPH` table above. Bad
-    UTF-8, malformed or too deeply nested JSON, schema breaches, repeated
-    agent or superagent ids and entities their model constructor rejects
-    get `$`-rooted paths such as `$.agents[1].id`: the first section wins,
-    then the first key in to_json order, then the constructor, which
-    rejects only empty `members`, `to` and `topic` and bad spans. A
-    document that passes reaches `validate`, whose first error gets a bare
-    path from its locator, such as `promises[3].scope[0]`,
+    UTF-8, malformed or too deeply nested JSON, schema breaches and
+    repeated agent or superagent ids get `$`-rooted paths such as
+    `$.agents[1].id`: the first section wins, then the first key in
+    to_json order. A document that passes reaches `validate`, whose first
+    error gets a bare path from its locator, such as `promises[3].scope[0]`,
+    `superagents[0].members` for a superagent without members,
+    `agents[2].span` for a span that starts beyond its end,
     `promises[0].body.behalf` for a promise on behalf of its own promiser,
     or `$` for a membership cycle. Indices into set-valued fields
     (`members`, `to`, `scope`, `affects`) count in sorted order, as to_json
@@ -276,16 +271,10 @@ def viewpoint(graph: PromiseGraph, observer: str) -> ViewpointGraph:
     if not graph.has_actor(observer):
         raise KeyError("unknown observer %r" % observer)
 
-    kept_promises = tuple(
-        p for p in graph.promises if observer in _privy(graph, p)
-    )
-    kept_impositions = tuple(
-        i for i in graph.impositions if observer in (i.imposer, i.imposee)
-    )
+    kept_promises = tuple(p for p in graph.promises if observer in _privy(graph, p))
+    kept_impositions = tuple(i for i in graph.impositions if observer in (i.imposer, i.imposee))
     kept_ids = {p.id for p in kept_promises}
-    kept_assessments = tuple(
-        a for a in graph.assessments if a.target in kept_ids
-    )
+    kept_assessments = tuple(a for a in graph.assessments if a.target in kept_ids)
 
     referenced: Set[str] = {observer}
     for promise in kept_promises:
@@ -296,10 +285,8 @@ def viewpoint(graph: PromiseGraph, observer: str) -> ViewpointGraph:
         if promise.body.behalf_of is not None:
             referenced.add(promise.body.behalf_of)
     for imposition in kept_impositions:
-        referenced.add(imposition.imposer)
-        referenced.add(imposition.imposee)
-    for assessment in kept_assessments:
-        referenced.add(assessment.assessor)
+        referenced.update((imposition.imposer, imposition.imposee))
+    referenced.update(assessment.assessor for assessment in kept_assessments)
     # keep superagent members resolvable
     referenced = expand_members(graph, referenced)
 

@@ -5,7 +5,7 @@ punctuation, string literals and words are tokens. The blanks and `#`
 comment in front of a token are matched with it, not as matches of their
 own, so each match yields one token; those after the last token are
 skipped before EOF. A `Token` is a plain tuple of kind, source slice,
-offsets, line and column; its validated `SourceSpan` is built only when a
+offsets, line and column; its `SourceSpan` is built only when a
 diagnostic or a declaration asks for it. Offsets and columns count code
 points of the decoded text, and every token's offsets slice exactly its
 text out of the source (the lossless-lexing property is tested against

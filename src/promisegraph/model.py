@@ -7,10 +7,10 @@ is a pure function over it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Set, Tuple, Union
 
 
 class AgentKind(Enum):
@@ -57,22 +57,15 @@ class ErrorCode(Enum):
     INVALID_DECLARATION = "invalid-declaration"
 
 
-@dataclass(frozen=True, slots=True)
-class SourceSpan:
-    """Half-open range of code-point offsets into the decoded source text
-    (`text[start:end]` is the spanned source), plus the 1-based line/column
-    (in code points) of its start."""
+class SourceSpan(NamedTuple):
+    """Half-open range `text[start:end]` of code-point offsets into the
+    decoded source text, plus the 1-based line/column (in code points) of
+    its start. `validate` rejects a span that breaks either rule."""
 
     start: int
     end: int
     line: int
     column: int
-
-    def __post_init__(self) -> None:
-        if self.start > self.end:
-            raise ValueError("span start beyond end")
-        if self.line < 1 or self.column < 1:
-            raise ValueError("line and column are 1-based")
 
 
 ZERO_SPAN = SourceSpan(0, 0, 1, 1)
@@ -84,44 +77,29 @@ class Agent(NamedTuple):
     span: SourceSpan = ZERO_SPAN
 
 
-@dataclass(frozen=True, slots=True)
-class Superagent:
+class Superagent(NamedTuple):
     id: str
-    members: FrozenSet[str]
+    members: FrozenSet[str]  # non-empty in a valid graph
     span: SourceSpan = ZERO_SPAN
 
-    def __post_init__(self) -> None:
-        if not self.members:
-            raise ValueError("superagent %r has no members" % self.id)
 
-
-@dataclass(frozen=True, slots=True)
-class Body:
+class Body(NamedTuple):
     polarity: Polarity
-    topic: str
+    topic: str  # non-empty in a valid graph
     text: str = ""
     behalf_of: Optional[str] = None
     affects: FrozenSet[str] = frozenset()
     condition: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        if not self.topic:
-            raise ValueError("body topic must be non-empty")
 
-
-@dataclass(frozen=True, slots=True)
-class Promise:
+class Promise(NamedTuple):
     id: str
     promiser: str
-    promisees: FrozenSet[str]
+    promisees: FrozenSet[str]  # non-empty in a valid graph
     body: Body
     scope: FrozenSet[str] = frozenset()
     provenance: Provenance = Provenance.EXPLICIT
     span: SourceSpan = ZERO_SPAN
-
-    def __post_init__(self) -> None:
-        if not self.promisees:
-            raise ValueError("promise %r has no promisees" % self.id)
 
 
 class Imposition(NamedTuple):
@@ -161,13 +139,18 @@ class StructuralError(NamedTuple):
         return "%s:%s: %s: %s" % (self.span.line, self.span.column, self.code.value, self.message)
 
 
-@dataclass(frozen=True)
-class PromiseGraph:
-    agents: Dict[str, Agent] = field(default_factory=dict)
-    superagents: Dict[str, Superagent] = field(default_factory=dict)
+class _GraphFields(NamedTuple):
+    # an omitted section's default is shared, so it is a read-only mapping
+    agents: Mapping[str, Agent] = MappingProxyType({})
+    superagents: Mapping[str, Superagent] = MappingProxyType({})
     promises: Tuple[Promise, ...] = ()
     impositions: Tuple[Imposition, ...] = ()
     assessments: Tuple[Assessment, ...] = ()
+
+
+class PromiseGraph(_GraphFields):
+    """Unlike its `NamedTuple` base it has a `__dict__`, for the promise
+    index; `_replace` builds a new graph, with no index yet."""
 
     @cached_property
     def _promise_index(self) -> Dict[str, Promise]:
@@ -246,24 +229,38 @@ def _superagent_cycles(graph: PromiseGraph) -> List[str]:
 
 
 def validate(graph: PromiseGraph) -> List[StructuralError]:
-    """Check every graph invariant: references, unique promise, imposition
+    """Check every graph invariant: spans in order and 1-based, non-empty
+    members, promisees and topics, references, unique promise, imposition
     and assessment ids, acyclic superagents, disjoint agent and superagent
     names, no promise on behalf of its own promiser, no imposition on its
     own imposer, increasing assessment ordinals. Returns errors in
     declaration order, each with its locator; empty iff the graph is
     well-formed."""
     errors: List[StructuralError] = []
+    actors = graph.agents.keys() | graph.superagents.keys()
 
     def error(code: ErrorCode, message: str, span: SourceSpan, locator: Locator) -> None:
         errors.append(StructuralError(code, message, span, locator))
 
+    def invalid(message: str, span: SourceSpan, locator: Locator) -> None:
+        error(ErrorCode.INVALID_DECLARATION, message, span, locator)
+
+    def check_span(context: str, span: SourceSpan, locator: Locator) -> None:
+        start, end, line, column = span
+        if start > end:
+            invalid("%s span starts beyond its end" % context, span, locator + ("span",))
+        elif line < 1 or column < 1:
+            invalid("%s span has a line or column below 1" % context, span, locator + ("span",))
+
     def check_actor(name: str, context: str, span: SourceSpan, locator: Locator) -> None:
-        if not graph.has_actor(name):
+        if name not in actors:
             error(ErrorCode.UNRESOLVED_REFERENCE,
                   "%s refers to undeclared agent %r" % (context, name), span, locator)
 
     def check_actors(names: FrozenSet[str], context: str, span: SourceSpan,
                      locator: Locator) -> None:
+        if names <= actors:
+            return
         for j, name in enumerate(sorted(names)):
             check_actor(name, context, span, locator + (j,))
 
@@ -274,13 +271,19 @@ def validate(graph: PromiseGraph) -> List[StructuralError]:
                   span, locator + ("id",))
         seen.add(entity_id)
 
+    for i, agent in enumerate(graph.agents.values()):
+        check_span("agent %r" % agent.id, agent.span, ("agents", i))
+
     for i, superagent in enumerate(graph.superagents.values()):
+        context, span, at = "superagent %r" % superagent.id, superagent.span, ("superagents", i)
+        check_span(context, span, at)
+        if not superagent.members:
+            invalid("%s has no members" % context, span, at + ("members",))
         if superagent.id in graph.agents:
             error(ErrorCode.NAMESPACE_CLASH,
                   "%r is declared both as an agent and as a superagent" % superagent.id,
-                  superagent.span, ("superagents", i, "id"))
-        check_actors(superagent.members, "superagent %r member" % superagent.id,
-                     superagent.span, ("superagents", i, "members"))
+                  span, at + ("id",))
+        check_actors(superagent.members, context + " member", span, at + ("members",))
 
     for name in _superagent_cycles(graph):
         error(ErrorCode.CYCLIC_SUPERAGENT,
@@ -289,28 +292,33 @@ def validate(graph: PromiseGraph) -> List[StructuralError]:
 
     seen_promise_ids: Set[str] = set()
     for i, promise in enumerate(graph.promises):
-        context, span, at = "promise %r" % promise.id, promise.span, ("promises", i)
-        check_unique(seen_promise_ids, "promise", promise.id, span, at)
-        check_actor(promise.promiser, context, span, at + ("from",))
-        check_actors(promise.promisees, context, span, at + ("to",))
-        check_actors(promise.scope, context, span, at + ("scope",))
-        check_actors(promise.body.affects, context, span, at + ("body", "affects"))
-        behalf = promise.body.behalf_of
-        if behalf == promise.promiser:
-            error(ErrorCode.INVALID_DECLARATION,
-                  "%s is made on behalf of its own promiser" % context,
-                  span, at + ("body", "behalf"))
+        promise_id, promiser, promisees, body, scope, _, span = promise
+        context, at = "promise %r" % promise_id, ("promises", i)
+        check_span(context, span, at)
+        if not promisees:
+            invalid("%s has no promisees" % context, span, at + ("to",))
+        if not body.topic:
+            invalid("%s has an empty topic" % context, span, at + ("body", "topic"))
+        check_unique(seen_promise_ids, "promise", promise_id, span, at)
+        check_actor(promiser, context, span, at + ("from",))
+        check_actors(promisees, context, span, at + ("to",))
+        check_actors(scope, context, span, at + ("scope",))
+        check_actors(body.affects, context, span, at + ("body", "affects"))
+        behalf = body.behalf_of
+        if behalf == promiser:
+            invalid("%s is made on behalf of its own promiser" % context,
+                    span, at + ("body", "behalf"))
         elif behalf is not None:
             check_actor(behalf, context, span, at + ("body", "behalf"))
 
     seen_imposition_ids: Set[str] = set()
     for i, imposition in enumerate(graph.impositions):
         context, span, at = "imposition %r" % imposition.id, imposition.span, ("impositions", i)
+        check_span(context, span, at)
         check_unique(seen_imposition_ids, "imposition", imposition.id, span, at)
         check_actor(imposition.imposer, context, span, at + ("from",))
         if imposition.imposee == imposition.imposer:
-            error(ErrorCode.INVALID_DECLARATION, "%s imposes on its own imposer" % context,
-                  span, at + ("to",))
+            invalid("%s imposes on its own imposer" % context, span, at + ("to",))
         else:
             check_actor(imposition.imposee, context, span, at + ("to",))
 
@@ -318,10 +326,10 @@ def validate(graph: PromiseGraph) -> List[StructuralError]:
     last_ordinal = -1
     for i, assessment in enumerate(graph.assessments):
         context, span, at = "assessment %r" % assessment.id, assessment.span, ("assessments", i)
+        check_span(context, span, at)
         if assessment.ordinal <= last_ordinal:
-            error(ErrorCode.INVALID_DECLARATION,
-                  "%s ordinal %d does not increase" % (context, assessment.ordinal),
-                  span, at + ("ordinal",))
+            invalid("%s ordinal %d does not increase" % (context, assessment.ordinal),
+                    span, at + ("ordinal",))
         last_ordinal = assessment.ordinal
         check_unique(seen_assessment_ids, "assessment", assessment.id, span, at)
         check_actor(assessment.assessor, context, span, at + ("by",))

@@ -5,7 +5,6 @@ Random-input criteria use fixed seeds; the counts (500 graphs, 200 graphs,
 1000 sequences) are part of the contract, not tuning knobs.
 """
 
-import dataclasses
 import io
 import json
 import random
@@ -131,7 +130,7 @@ def test_criterion_5_trust_engine():
                 Assessment("a%d" % j, "Rater", "p", sequence[j], ordinal=j)
                 for j in range(k)
             )
-            graph = dataclasses.replace(base, assessments=assessments)
+            graph = base._replace(assessments=assessments)
             value = trust(graph, params).get("Rater", "Maker")
             assert 0.0 <= value <= 1.0
             step = sequence[k - 1]

@@ -9,6 +9,7 @@ for every pair, and an all-pairs compatibility filter.
 """
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -151,6 +152,46 @@ def make_binding_graph(rng, max_promises=60):
 def test_bind_matches_reference_on_dense_graphs(seed):
     graph = make_binding_graph(random.Random(seed + 7000))
     assert candidate_pairs(graph) == naive_candidate_pairs(graph)
+    assert bind(graph) == reference_bind(graph)
+
+
+def make_twin_graph(rng, max_promises=48):
+    """Dense at small n: a few complementary offer and accept signatures
+    (polarity, topic, promiser, promisees), each declared by many twin
+    promises, plus one-off promises, all in shuffled declaration order."""
+    names = AGENT_NAMES[:4]
+    agents = {name: Agent(name) for name in names}
+    signatures = []
+    for _ in range(rng.randint(1, 4)):
+        offerer, acceptor = rng.sample(names, 2)
+        topic = rng.choice(TOPICS[:2])
+        signatures.append((Polarity.OFFER, topic, offerer, {acceptor}))
+        signatures.append((Polarity.ACCEPT, topic, acceptor, {offerer}))
+    for signature in signatures:  # a second promisee widens some classes
+        if rng.random() < 0.3:
+            signature[3].add(rng.choice(names))
+    bodies, size = [], rng.randint(max_promises // 3, max_promises)
+    while len(bodies) < size:
+        if rng.random() < 0.8:
+            polarity, topic, promiser, promisees = rng.choice(signatures)
+            bodies.extend([(polarity, topic, promiser, frozenset(promisees))]
+                          * rng.randint(1, 8))
+        else:
+            promiser = rng.choice(names)
+            bodies.append((rng.choice(list(Polarity)), rng.choice(TOPICS[:2]), promiser,
+                           frozenset(rng.sample(names, rng.randint(1, 2)))))
+    rng.shuffle(bodies)
+    promises = tuple(Promise("p%d" % i, promiser, promisees, Body(polarity, topic))
+                     for i, (polarity, topic, promiser, promisees) in enumerate(bodies))
+    return PromiseGraph(agents=agents, promises=promises)
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_bind_matches_reference_on_twin_heavy_graphs(seed):
+    graph = make_twin_graph(random.Random(seed + 9000))
+    signatures = Counter((p.body.polarity, p.body.topic, p.promiser, p.promisees)
+                         for p in graph.promises)
+    assert max(signatures.values()) >= 2
     assert bind(graph) == reference_bind(graph)
 
 

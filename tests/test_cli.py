@@ -225,6 +225,25 @@ def test_invalid_trust_param_exits_two(corpus_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["trust", "--trust-beta", "-1"], "trust parameter beta=-1.0 outside [0,1]"),
+    (["analyze", "--trust-initial", "nan"], "trust parameter initial=nan outside [0,1]"),
+    (["report", "--quorum", "0", "--trust-alpha", "7"], "trust parameter alpha=7.0 outside [0,1]"),
+    (["analyze", "--quorum", "0", "--format", "json"], "quorum must be >= 1"),
+])
+def test_a_bad_flag_is_reported_before_the_input_is_read(argv, message, broken_path,
+                                                        tmp_path, monkeypatch):
+    # a broken or missing document does not hide the flag error
+    for path in [broken_path, str(tmp_path / "missing.pml")]:
+        assert invoke(argv[:1] + [path] + argv[1:]) == (2, "", "error: %s\n" % message)
+
+    def unread(path, stdin):
+        raise AssertionError("input read")
+
+    monkeypatch.setattr("promisegraph.cli._read_input", unread)
+    assert invoke(argv[:1] + ["-"] + argv[1:]) == (2, "", "error: %s\n" % message)
+
+
 def test_export_json_round_trips(corpus_path):
     code, out, err = invoke(["export", corpus_path])
     assert (code, err) == (0, "")

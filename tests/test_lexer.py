@@ -17,7 +17,7 @@ from promisegraph.lexer import (
     TokenKind,
     tokenize,
 )
-from promisegraph.model import SourceSpan
+from promisegraph.model import Agent, PromiseGraph, SourceSpan, validate
 
 
 def kinds(text):
@@ -411,5 +411,11 @@ def test_spans_after_non_ascii_count_code_points():
 def test_token_span_is_a_validated_source_span():
     token = tokenize("agent A")[1]
     assert token.span == SourceSpan(6, 7, 1, 7)
-    with pytest.raises(ValueError):
-        token._replace(line=0).span
+    assert type(token.span) is SourceSpan
+    # a span is checked where a graph is: `validate` rejects a declaration
+    # that carries the span of a broken token
+    for broken, problem in [(token._replace(line=0), "has a line or column below 1"),
+                            (token._replace(start=8), "starts beyond its end")]:
+        errors = validate(PromiseGraph(agents={"A": Agent("A", span=broken.span)}))
+        assert [(e.locator, e.message) for e in errors] == [
+            (("agents", 0, "span"), "agent 'A' span " + problem)]

@@ -32,16 +32,46 @@ def agents(*names):
     return {name: Agent(name) for name in names}
 
 
+def declaration_errors(graph):
+    return [(e.code, e.locator, e.message) for e in validate(graph)]
+
+
 def test_source_span_rejects_inverted_ranges():
-    with pytest.raises(ValueError):
-        SourceSpan(10, 5, 1, 1)
-    with pytest.raises(ValueError):
-        SourceSpan(0, 0, 0, 1)
+    # built without complaint; `validate` rejects the span of any declaration
+    inverted, line_zero = SourceSpan(10, 5, 1, 1), SourceSpan(0, 0, 0, 1)
+    g = graph_of(agents={"A": Agent("A", span=inverted), "B": Agent("B", span=line_zero)})
+    assert declaration_errors(g) == [
+        (ErrorCode.INVALID_DECLARATION, ("agents", 0, "span"),
+         "agent 'A' span starts beyond its end"),
+        (ErrorCode.INVALID_DECLARATION, ("agents", 1, "span"),
+         "agent 'B' span has a line or column below 1"),
+    ]
+    body = Body(Polarity.OFFER, "t")
+    g = graph_of(
+        agents=agents("A", "B"),
+        superagents={"G": Superagent("G", frozenset({"A"}), SourceSpan(0, 0, 1, 0))},
+        promises=(Promise("p", "A", frozenset({"B"}), body, span=inverted),),
+        impositions=(Imposition("i", "A", "B", span=inverted),),
+        assessments=(Assessment("a", "A", "p", Verdict.KEPT, span=line_zero),),
+    )
+    assert declaration_errors(g) == [
+        (ErrorCode.INVALID_DECLARATION, ("superagents", 0, "span"),
+         "superagent 'G' span has a line or column below 1"),
+        (ErrorCode.INVALID_DECLARATION, ("promises", 0, "span"),
+         "promise 'p' span starts beyond its end"),
+        (ErrorCode.INVALID_DECLARATION, ("impositions", 0, "span"),
+         "imposition 'i' span starts beyond its end"),
+        (ErrorCode.INVALID_DECLARATION, ("assessments", 0, "span"),
+         "assessment 'a' span has a line or column below 1"),
+    ]
 
 
 def test_superagent_members_must_be_non_empty():
-    with pytest.raises(ValueError):
-        Superagent("G", frozenset())
+    g = graph_of(superagents={"G": Superagent("G", frozenset())})
+    assert declaration_errors(g) == [
+        (ErrorCode.INVALID_DECLARATION, ("superagents", 0, "members"),
+         "superagent 'G' has no members"),
+    ]
 
 
 def test_promise_rejects_self_behalf():
@@ -59,8 +89,20 @@ def test_promise_rejects_self_behalf():
 
 
 def test_promise_requires_promisees():
-    with pytest.raises(ValueError):
-        Promise("p", "A", frozenset(), Body(Polarity.OFFER, "t"))
+    g = graph_of(agents=agents("A"),
+                 promises=(Promise("p", "A", frozenset(), Body(Polarity.OFFER, "t")),))
+    assert declaration_errors(g) == [
+        (ErrorCode.INVALID_DECLARATION, ("promises", 0, "to"), "promise 'p' has no promisees"),
+    ]
+
+
+def test_promise_requires_a_topic():
+    g = graph_of(agents=agents("A", "B"),
+                 promises=(Promise("p", "A", frozenset({"B"}), Body(Polarity.OFFER, "")),))
+    assert declaration_errors(g) == [
+        (ErrorCode.INVALID_DECLARATION, ("promises", 0, "body", "topic"),
+         "promise 'p' has an empty topic"),
+    ]
 
 
 def test_imposition_rejects_self_imposition():

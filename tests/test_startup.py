@@ -46,6 +46,23 @@ def test_check_loads_neither_analysis_nor_export_and_analyze_still_works():
     assert report == (GOLDEN / "report.json").read_text(encoding="utf-8")
 
 
+def test_no_command_loads_dataclasses_or_inspect():
+    # the records are tuples: building them needs neither module, nor does
+    # anything else the commands import
+    run_fresh("""
+        import io, sys
+        from promisegraph.cli import run
+        for argv in (["check"], ["analyze", "--format", "json"],
+                     ["export", "--format", "dot", "--viewpoint", "Public"]):
+            out, err = io.StringIO(), io.StringIO()
+            code = run(argv[:1] + [sys.argv[1]] + argv[1:], stdout=out, stderr=err)
+            assert code in (0, 1) and not err.getvalue(), (argv, code)
+            assert bool(out.getvalue()) is (argv[0] != "check"), argv
+        loaded = {"dataclasses", "inspect"} & set(sys.modules)
+        assert not loaded, loaded
+    """, CORPUS)
+
+
 # importing a submodule first binds `promisegraph.lower` to the module, unless
 # the package has already bound the function of that name over it
 @pytest.mark.parametrize("first", ["", "import promisegraph.lower, promisegraph.cli"],
