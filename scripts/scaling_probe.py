@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""Time the membership walks in process, on two shapes at three sizes each.
+
+wide: n agents, one superagent `All` over every agent, and 4n promises,
+    each with `All` in its scope and one affected agent (n = 500, 1000, 2000).
+deep: n agents and superagents S0 .. S(n-1); each S_i holds S_(i-1), the
+    last superagent S(n-1) and the agent A_i, so every superagent sits on a
+    membership cycle; n promises (n = 2000, 4000, 8000).
+
+For each size it prints the median wall time, with the cyclic garbage
+collector off as in the CLI, of `load` (parse, lower, validate),
+`analyze_all` and `viewpoint` (observer A0). `load` of a deep document
+fails on its cycles by design: it is timed up to that failure, and the two
+other stages run on the graph the parsed records make unvalidated. A stage
+that is linear in its input roughly doubles its time per doubling of n.
+
+Usage: python scripts/scaling_probe.py [--repeats N] [--shape {wide,deep}]
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import pathlib
+import platform
+import statistics
+import sys
+import time
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from promisegraph import Agent, LowerFailure, Promise, PromiseGraph, Superagent
+from promisegraph import analyze_all, load, parse, viewpoint
+
+SIZES = {"wide": (500, 1000, 2000), "deep": (2000, 4000, 8000)}
+
+
+def promise_lines(count: int, n: int, scope) -> list:
+    """Offer/accept pairs between neighbouring agents over seven topics,
+    each promise affecting a third agent."""
+    lines = []
+    for i in range(count // 2):
+        k, topic = i % n, "t%d" % (i % 7)
+        a, b, c = "A%d" % k, "A%d" % ((k + 1) % n), "A%d" % ((k + 2) % n)
+        lines.append("promise o%d from %s to %s scope [%s] { offer %s affects [%s] }"
+                     % (i, a, b, scope(i), topic, c))
+        lines.append("promise a%d from %s to %s scope [%s] { accept %s affects [%s] }"
+                     % (i, b, a, scope(i), topic, c))
+    return lines
+
+
+def document(shape: str, n: int) -> str:
+    lines = ["agent A%d" % i for i in range(n)]
+    if shape == "wide":
+        lines.append("superagent All { %s }" % ", ".join("A%d" % i for i in range(n)))
+        lines += promise_lines(4 * n, n, lambda i: "All")
+    else:
+        lines += ["superagent S%d { %sS%d, A%d }" % (i, "S%d, " % (i - 1) if i else "", n - 1, i)
+                  for i in range(n)]
+        lines += promise_lines(n, n, lambda i: "S%d" % (i % n))
+    return "\n".join(lines) + "\n"
+
+
+def unvalidated(text: str) -> PromiseGraph:
+    items = parse(text).items
+    return PromiseGraph(
+        agents={item.id: item for item in items if isinstance(item, Agent)},
+        superagents={item.id: item for item in items if isinstance(item, Superagent)},
+        promises=tuple(item for item in items if isinstance(item, Promise)))
+
+
+def load_or_fail(text: str) -> None:
+    try:
+        load(text)
+    except LowerFailure:
+        pass
+
+
+def median_time(call, repeats: int) -> float:
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def main() -> None:
+    args = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    args.add_argument("--repeats", type=int, default=5)
+    args.add_argument("--shape", choices=sorted(SIZES), action="append")
+    options = args.parse_args()
+    print("CPython %s, median of %d" % (platform.python_version(), options.repeats))
+    print("%-5s %6s %9s %9s %14s %12s"
+          % ("shape", "n", "promises", "load_s", "analyze_all_s", "viewpoint_s"))
+    gc.disable()
+    for shape in options.shape or ("wide", "deep"):
+        for n in SIZES[shape]:
+            text = document(shape, n)
+            graph = unvalidated(text)
+            row = [median_time(lambda: load_or_fail(text), options.repeats),
+                   median_time(lambda: analyze_all(graph), options.repeats),
+                   median_time(lambda: viewpoint(graph, "A0"), options.repeats)]
+            print("%-5s %6d %9d %9.3f %14.3f %12.3f" % (shape, n, len(graph.promises), *row))
+            del text, graph
+            gc.collect()
+
+
+if __name__ == "__main__":
+    main()

@@ -8,7 +8,7 @@ into one deterministic report.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .model import (
     Imposition,
@@ -18,8 +18,11 @@ from .model import (
     PromiseGraph,
     SourceSpan,
     Verdict,
-    _privy,
+    _Watchers,
 )
+
+# module names: a name lookup is several times cheaper than `Polarity.OFFER`
+OFFER, ACCEPT = Polarity
 
 
 class FindingRule(Enum):
@@ -50,9 +53,19 @@ class Binding(NamedTuple):
     topic: str
 
 
-class Finding(NamedTuple("Finding", [("rule", FindingRule), ("severity", Severity),
-                                     ("subjects", Tuple[str, ...]), ("message", str),
-                                     ("span", SourceSpan)])):
+class _Checked:
+    """Makes a checking `NamedTuple`'s `_make`, and so `_replace`, check too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> tuple:
+        return cls(*iterable)
+
+
+class Finding(_Checked, NamedTuple("Finding", [("rule", FindingRule), ("severity", Severity),
+                                               ("subjects", Tuple[str, ...]), ("message", str),
+                                               ("span", SourceSpan)])):
     """Construction raises ValueError for a finding without subjects."""
 
     __slots__ = ()
@@ -64,8 +77,8 @@ class Finding(NamedTuple("Finding", [("rule", FindingRule), ("severity", Severit
         return self
 
 
-class TrustParams(NamedTuple("TrustParams", [("initial", float), ("alpha", float),
-                                             ("beta", float)])):
+class TrustParams(_Checked, NamedTuple("TrustParams", [("initial", float), ("alpha", float),
+                                                       ("beta", float)])):
     """Construction raises ValueError for a value outside [0, 1], NaN included."""
 
     __slots__ = ()
@@ -86,7 +99,8 @@ class TrustTable(NamedTuple):
         return self.entries.get((assessor, subject), self.initial)
 
 
-class AnalysisConfig(NamedTuple("AnalysisConfig", [("quorum", int), ("trust", TrustParams)])):
+class AnalysisConfig(_Checked, NamedTuple("AnalysisConfig", [("quorum", int),
+                                                              ("trust", TrustParams)])):
     """Construction raises ValueError for a quorum below 1."""
 
     __slots__ = ()
@@ -110,17 +124,18 @@ def candidate_pairs(graph: PromiseGraph) -> List[Tuple[int, int]]:
     promiser among the offer's promisees and vice versa, by declared ids."""
     accepts_by_key: Dict[Tuple[str, str, str], List[int]] = {}
     for ai, accept in enumerate(graph.promises):
-        if accept.body.polarity is Polarity.ACCEPT:
+        body = accept.body
+        if body.polarity is ACCEPT:
             for promisee in accept.promisees:
-                key = (accept.body.topic, accept.promiser, promisee)
+                key = (body.topic, accept.promiser, promisee)
                 accepts_by_key.setdefault(key, []).append(ai)
     pairs: List[Tuple[int, int]] = []
     for oi, offer in enumerate(graph.promises):
-        if offer.body.polarity is Polarity.OFFER:
+        body = offer.body
+        if body.polarity is OFFER:
             found: List[int] = []
             for promisee in offer.promisees:
-                found.extend(accepts_by_key.get(
-                    (offer.body.topic, promisee, offer.promiser), ()))
+                found.extend(accepts_by_key.get((body.topic, promisee, offer.promiser), ()))
             pairs.extend((oi, ai) for ai in sorted(found))
     return pairs
 
@@ -218,18 +233,19 @@ def bind(graph: PromiseGraph) -> List[Binding]:
 def unbound(graph: PromiseGraph, bindings: Sequence[Binding]) -> List[Finding]:
     """A warning for every promise that found no complementary partner."""
     by_polarity = {
-        Polarity.OFFER: (FindingRule.UNBOUND_OFFER, {b.offer for b in bindings},
-                         "offer %r of topic %r by %s is not accepted by any promisee"),
-        Polarity.ACCEPT: (FindingRule.UNBOUND_ACCEPT, {b.accept for b in bindings},
-                          "acceptance %r of topic %r by %s matches no declared offer"),
+        OFFER: (FindingRule.UNBOUND_OFFER, {b.offer for b in bindings},
+                "offer %r of topic %r by %s is not accepted by any promisee"),
+        ACCEPT: (FindingRule.UNBOUND_ACCEPT, {b.accept for b in bindings},
+                 "acceptance %r of topic %r by %s matches no declared offer"),
     }
     findings: List[Finding] = []
     for promise in graph.promises:
-        rule, bound, message = by_polarity[promise.body.polarity]
+        body = promise.body
+        rule, bound, message = by_polarity[body.polarity]
         if promise.id not in bound:
             findings.append(Finding(
                 rule, Severity.WARNING, (promise.id, promise.promiser),
-                message % (promise.id, promise.body.topic, promise.promiser), promise.span))
+                message % (promise.id, body.topic, promise.promiser), promise.span))
     return findings
 
 
@@ -242,12 +258,12 @@ def polarity_census(graph: PromiseGraph) -> Dict[Tuple[str, str], Tuple[int, int
         return counts.setdefault((agent, topic), [0, 0])
 
     for promise in graph.promises:
-        topic = promise.body.topic
-        if promise.body.polarity is Polarity.OFFER:
+        body = promise.body
+        if body.polarity is OFFER:
             for promisee in promise.promisees:
-                slot(promisee, topic)[0] += 1
+                slot(promisee, body.topic)[0] += 1
         else:
-            slot(promise.promiser, topic)[1] += 1
+            slot(promise.promiser, body.topic)[1] += 1
     return {key: (pair[0], pair[1]) for key, pair in sorted(counts.items())}
 
 
@@ -262,12 +278,12 @@ def single_source(graph: PromiseGraph, quorum: int = 2) -> List[Finding]:
     first_accept: Dict[Tuple[str, str], Promise] = {}
 
     for promise in graph.promises:
-        topic = promise.body.topic
-        if promise.body.polarity is Polarity.OFFER:
+        body = promise.body
+        if body.polarity is OFFER:
             for promisee in promise.promisees:
-                offerers.setdefault((promisee, topic), set()).add(promise.promiser)
+                offerers.setdefault((promisee, body.topic), set()).add(promise.promiser)
         else:
-            key = (promise.promiser, topic)
+            key = (promise.promiser, body.topic)
             accepted.setdefault(key, set()).update(promise.promisees)
             first_accept.setdefault(key, promise)
 
@@ -295,13 +311,13 @@ def single_source(graph: PromiseGraph, quorum: int = 2) -> List[Finding]:
 def scope_audit(graph: PromiseGraph) -> List[Finding]:
     """Flag promises whose declared impact set includes agents that cannot
     see the promise."""
+    watchers = _Watchers(graph)
     findings: List[Finding] = []
     for promise in graph.promises:
         if not promise.body.affects:
             continue
-        visible = _privy(graph, promise)
         for agent in sorted(promise.body.affects):
-            if agent not in visible:
+            if not watchers.privy(agent, promise):
                 findings.append(Finding(
                     FindingRule.SCOPE_HIDING, Severity.WARNING,
                     (promise.id, agent),

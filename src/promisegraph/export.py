@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 from enum import Enum
-from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple, Type, Union
+from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Set,
+                    Tuple, Type, Union)
 
-from .analysis import AnalysisReport, Severity, TrustTable
 from .model import (
     Agent,
     AgentKind,
@@ -28,9 +28,12 @@ from .model import (
     Superagent,
     Verdict,
     expand_members,
-    _privy,
     validate,
+    _Watchers,
 )
+
+if TYPE_CHECKING:  # `export --format dot|json` never loads the analysis
+    from .analysis import AnalysisReport, TrustTable
 
 _KIND_SHAPES = {
     AgentKind.HUMAN: "ellipse",
@@ -271,7 +274,8 @@ def viewpoint(graph: PromiseGraph, observer: str) -> ViewpointGraph:
     if not graph.has_actor(observer):
         raise KeyError("unknown observer %r" % observer)
 
-    kept_promises = tuple(p for p in graph.promises if observer in _privy(graph, p))
+    watchers = _Watchers(graph)
+    kept_promises = tuple(p for p in graph.promises if watchers.privy(observer, p))
     kept_impositions = tuple(i for i in graph.impositions if observer in (i.imposer, i.imposee))
     kept_ids = {p.id for p in kept_promises}
     kept_assessments = tuple(a for a in graph.assessments if a.target in kept_ids)
@@ -370,15 +374,15 @@ def render_report(report: AnalysisReport, format: ReportFormat = ReportFormat.TE
         return _canonical(_report_obj(report)).decode("utf-8")
 
     styles = {
-        Severity.VIOLATION: "\x1b[31m%s\x1b[0m",
-        Severity.WARNING: "\x1b[33m%s\x1b[0m",
-        Severity.INFO: "\x1b[36m%s\x1b[0m",
+        "violation": "\x1b[31m%s\x1b[0m",
+        "warning": "\x1b[33m%s\x1b[0m",
+        "info": "\x1b[36m%s\x1b[0m",
     }
     lines = ["%d findings" % len(report.findings)]
     for finding in report.findings:
         severity = finding.severity.value
         if color:
-            severity = styles[finding.severity] % severity
+            severity = styles[severity] % severity
         lines.append("%s %s %s @%d:%d %s" % (
             severity, finding.rule.value, " ".join(finding.subjects),
             finding.span.line, finding.span.column, finding.message))

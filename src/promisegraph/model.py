@@ -199,33 +199,76 @@ def visible_to(graph: PromiseGraph, promise_id: str) -> FrozenSet[str]:
     return frozenset(_privy(graph, graph.promise_by_id(promise_id)))
 
 
+class _Watchers(dict):
+    """name -> that name plus every superagent that lists it, transitively,
+    each walked up once on first lookup through one member -> superagents
+    index. `_privy`'s rule, read upward: a name is privy to a promise iff
+    its watchers meet the promiser, the promisees or the scope."""
+
+    def __init__(self, graph: PromiseGraph) -> None:
+        super().__init__()
+        self.parents: Dict[str, List[str]] = {}
+        for name, superagent in graph.superagents.items():
+            for member in superagent.members:
+                self.parents.setdefault(member, []).append(name)
+
+    def __missing__(self, name: str) -> Set[str]:
+        self[name] = seen = {name}
+        stack = [name]
+        while stack:
+            for parent in self.parents.get(stack.pop(), ()):
+                if parent not in seen:
+                    seen.add(parent)
+                    stack.append(parent)
+        return seen
+
+    def privy(self, name: str, promise: Promise) -> bool:
+        seen = self[name]
+        return (promise.promiser in seen or not seen.isdisjoint(promise.promisees)
+                or not seen.isdisjoint(promise.scope))
+
+
 def _superagent_cycles(graph: PromiseGraph) -> List[str]:
-    """Superagent ids that sit on a membership cycle, in declaration order.
-    Depth-first over members in sorted order, with an explicit stack."""
-    state: Dict[str, int] = {}  # 0 = visiting, 1 = done
+    """Superagent ids that sit on a membership cycle, in declaration order:
+    those whose strongly connected component has more than one member, and
+    those that list themselves. Tarjan's algorithm with an explicit stack:
+    a name's index is its position on `trail` (Tarjan's stack) until its
+    component closes, and then one above every position."""
+    superagents = graph.superagents
+    index: Dict[str, int] = {}
+    low: Dict[str, int] = {}
+    trail: List[str] = []
+    stack: list = []  # the depth-first path: (name, its members not yet seen)
     cyclic: Set[str] = set()
 
-    for root in graph.superagents:
-        if root in state:
-            continue
-        state[root] = 0
-        stack = [(root, iter(sorted(graph.superagents[root].members)))]
+    def visit(name: str) -> None:
+        index[name] = low[name] = len(trail)
+        trail.append(name)
+        stack.append((name, iter(superagents[name].members)))
+
+    for root in superagents:
+        if root not in index:
+            visit(root)
         while stack:
             name, members = stack[-1]
             for member in members:
-                if member not in graph.superagents or state.get(member) == 1:
+                if member not in superagents:
                     continue
-                if member in state:  # visiting: the trail from it closes a cycle
-                    trail = [entry for entry, _ in stack]
-                    cyclic.update(trail[trail.index(member):])
-                    continue
-                state[member] = 0
-                stack.append((member, iter(sorted(graph.superagents[member].members))))
-                break
+                if member not in index:
+                    visit(member)
+                    break
+                low[name] = min(low[name], index[member])
             else:
                 stack.pop()
-                state[name] = 1
-    return [name for name in graph.superagents if name in cyclic]
+                if stack:
+                    low[stack[-1][0]] = min(low[stack[-1][0]], low[name])
+                if low[name] == index[name]:
+                    component = trail[index[name]:]
+                    del trail[index[name]:]
+                    if len(component) > 1 or name in superagents[name].members:
+                        cyclic.update(component)
+                    index.update(dict.fromkeys(component, len(superagents)))
+    return [name for name in superagents if name in cyclic]
 
 
 def validate(graph: PromiseGraph) -> List[StructuralError]:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from promisegraph.analysis import (
     AnalysisConfig,
     Binding,
+    Finding,
     FindingRule,
     Severity,
     TrustParams,
@@ -34,7 +35,7 @@ from promisegraph.analysis import (
     unbound,
 )
 from promisegraph.lower import load
-from promisegraph.model import Agent, Body, Polarity, Promise, PromiseGraph
+from promisegraph.model import ZERO_SPAN, Agent, Body, Polarity, Promise, PromiseGraph
 
 from conftest import AGENT_NAMES, TOPICS, make_random_graph
 
@@ -482,6 +483,34 @@ def test_trust_params_are_range_checked():
 def test_analysis_config_rejects_bad_quorum():
     with pytest.raises(ValueError):
         AnalysisConfig(quorum=0)
+
+
+FINDING = Finding(FindingRule.UNBOUND_OFFER, Severity.WARNING, ("p",), "m", ZERO_SPAN)
+
+
+@pytest.mark.parametrize("record, changes", [
+    (TrustParams(), {"alpha": -1}),
+    (TrustParams(), {"initial": float("nan")}),
+    (AnalysisConfig(), {"quorum": 0}),
+    (FINDING, {"subjects": ()}),
+], ids=["alpha", "initial", "quorum", "subjects"])
+def test_replace_and_make_run_the_constructor_checks(record, changes):
+    with pytest.raises(ValueError):
+        record._replace(**changes)
+    with pytest.raises(ValueError):
+        type(record)._make(changes.get(f, v) for f, v in zip(record._fields, record))
+
+
+def test_valid_replace_and_make_still_work():
+    params = TrustParams()._replace(alpha=0.3)
+    assert params == TrustParams(0.5, 0.3, 0.6) and type(params) is TrustParams
+    config = AnalysisConfig()._replace(quorum=3, trust=params)
+    assert config == AnalysisConfig(3, params) and type(config) is AnalysisConfig
+    finding = FINDING._replace(subjects=("p", "A"))
+    assert finding.subjects == ("p", "A") and type(finding) is Finding
+    assert Finding._make(FINDING) == FINDING
+    with pytest.raises(ValueError, match="unexpected field"):
+        TrustParams()._replace(gamma=0.1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -46,6 +46,23 @@ def test_check_loads_neither_analysis_nor_export_and_analyze_still_works():
     assert report == (GOLDEN / "report.json").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("argv", [["--format", "dot", "--viewpoint", "Public"],
+                                  ["--format", "json"]], ids=["dot-viewpoint", "json"])
+def test_export_does_not_load_the_analysis(argv):
+    out = run_fresh("""
+        import io, sys
+        from promisegraph.cli import run
+        out, err = io.StringIO(), io.StringIO()
+        assert run(["export", *sys.argv[1:]], stdout=out, stderr=err) == 0, err.getvalue()
+        assert "promisegraph.analysis" not in sys.modules
+        sys.stdout.write(out.getvalue())
+    """, CORPUS, *argv)
+    if "dot" in argv:
+        assert out == (GOLDEN / "public-view.dot").read_text(encoding="utf-8")
+    else:
+        assert out.startswith('{"agents":[')
+
+
 def test_no_command_loads_dataclasses_or_inspect():
     # the records are tuples: building them needs neither module, nor does
     # anything else the commands import
