@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""Check an interpreter that has neither pytest nor hypothesis, such as the
+CPython 3.10 floor that `requires-python` names.
+
+It runs two checks with the interpreter that runs it:
+- CI's golden steps: `analyze` of the corpus must exit 1 and print
+  `golden/report.json` byte for byte, and `export --viewpoint Public
+  --format dot` must print `golden/public-view.dot`;
+- a seeded differential: `parse`, with the declaration patterns taking
+  texts of any length, against the token parser alone, on mutated corpus
+  declarations (`tests/mutation.py`). Both must return an equal
+  `Document`, or equal `(message, span)` errors.
+
+Usage: python3.10 scripts/floor_check.py [--documents N] [--seed S]
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import pathlib
+import platform
+import random
+import subprocess
+import sys
+from unittest import mock
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+sys.path[:0] = [str(SRC), str(ROOT / "tests")]
+
+from mutation import mutate  # noqa: E402
+from promisegraph import corpus, parser, patterns  # noqa: E402
+from promisegraph.lexer import ParseFailure  # noqa: E402
+
+CORPUS = pathlib.Path(corpus.__file__).with_name(corpus.CORPUS_FILENAME)
+GOLDEN = CORPUS.with_name("golden")
+
+
+def golden_steps() -> list:
+    """The failures of CI's golden `cmp` steps, run through the CLI."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    steps = [(["analyze", str(CORPUS), "--format", "json"], 1, "report.json"),
+             (["export", str(CORPUS), "--viewpoint", "Public", "--format", "dot"], 0,
+              "public-view.dot")]
+    failures = []
+    for argv, code, golden in steps:
+        done = subprocess.run([sys.executable, "-m", "promisegraph", *argv], env=env,
+                              capture_output=True)
+        if done.returncode != code:
+            failures.append("%s exited %d, not %d" % (argv[0], done.returncode, code))
+        elif done.stdout != (GOLDEN / golden).read_bytes():
+            failures.append("%s differs from golden/%s" % (argv[0], golden))
+    return failures
+
+
+def outcome(text: str):
+    try:
+        return parser.parse(text)
+    except ParseFailure as failure:
+        return [(error.message, error.span) for error in failure.errors]
+
+
+def token_path(text: str):
+    """`parse` with no declaration patterns: the token parser reads it all."""
+    with mock.patch.object(patterns, "match_declarations", lambda text, items: 0):
+        return outcome(text)
+
+
+def main() -> int:
+    args = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    args.add_argument("--documents", type=int, default=5000)
+    args.add_argument("--seed", type=int, default=20261018)
+    options = args.parse_args()
+    print("CPython %s" % platform.python_version())
+    failures = golden_steps()
+    print("golden steps: %s" % ("; ".join(failures) or "ok"))
+
+    parser.PATTERN_MIN_CHARS = 1  # the patterns take texts of any length
+    rng = random.Random(options.seed)
+    source = corpus.load_builtin()
+    rejected = differing = 0
+    for _ in range(options.documents):
+        text = mutate(rng, source)
+        expected = token_path(text)
+        rejected += isinstance(expected, list)
+        if outcome(text) != expected:
+            differing += 1
+            print("differs: %r" % text)
+    print("differential: %d documents, %d rejected, %d differ"
+          % (options.documents, rejected, differing))
+    return 1 if failures or differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

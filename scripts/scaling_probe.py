@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Time the membership walks in process, on two shapes at three sizes each.
+"""Time the membership walks and the front end in process, at three sizes.
 
 wide: n agents, one superagent `All` over every agent, and 4n promises,
     each with `All` in its scope and one affected agent (n = 500, 1000, 2000).
 deep: n agents and superagents S0 .. S(n-1); each S_i holds S_(i-1), the
     last superagent S(n-1) and the agent A_i, so every superagent sits on a
     membership cycle; n promises (n = 2000, 4000, 8000).
+sparse: perfbench's sparse workload, `gen.sparse(seed, n)`, about 250
+    bytes of text per promise (n = 4000, 8000, 16000); only `load` is
+    timed, so the front end's growth shows.
 
 For each size it prints the median wall time, with the cyclic garbage
 collector off as in the CLI, of `load` (parse, lower, validate),
@@ -14,7 +17,8 @@ fails on its cycles by design: it is timed up to that failure, and the two
 other stages run on the graph the parsed records make unvalidated. A stage
 that is linear in its input roughly doubles its time per doubling of n.
 
-Usage: python scripts/scaling_probe.py [--repeats N] [--shape {wide,deep}]
+Usage: python scripts/scaling_probe.py [--repeats N] [--seed S]
+           [--shape {deep,sparse,wide}]
 """
 
 from __future__ import annotations
@@ -27,12 +31,14 @@ import statistics
 import sys
 import time
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 from promisegraph import Agent, LowerFailure, Promise, PromiseGraph, Superagent
 from promisegraph import analyze_all, load, parse, viewpoint
 
-SIZES = {"wide": (500, 1000, 2000), "deep": (2000, 4000, 8000)}
+SIZES = {"wide": (500, 1000, 2000), "deep": (2000, 4000, 8000),
+         "sparse": (4000, 8000, 16000)}
 
 
 def promise_lines(count: int, n: int, scope) -> list:
@@ -49,7 +55,12 @@ def promise_lines(count: int, n: int, scope) -> list:
     return lines
 
 
-def document(shape: str, n: int) -> str:
+def document(shape: str, n: int, seed: int) -> str:
+    if shape == "sparse":
+        sys.path.insert(0, str(ROOT / "perfbench"))
+        import gen  # perfbench's document generators; only this shape needs them
+
+        return gen.sparse(seed, n).text
     lines = ["agent A%d" % i for i in range(n)]
     if shape == "wide":
         lines.append("superagent All { %s }" % ", ".join("A%d" % i for i in range(n)))
@@ -88,20 +99,24 @@ def median_time(call, repeats: int) -> float:
 def main() -> None:
     args = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     args.add_argument("--repeats", type=int, default=5)
+    args.add_argument("--seed", type=int, default=5, help="the sparse documents' seed")
     args.add_argument("--shape", choices=sorted(SIZES), action="append")
     options = args.parse_args()
     print("CPython %s, median of %d" % (platform.python_version(), options.repeats))
-    print("%-5s %6s %9s %9s %14s %12s"
+    print("%-6s %6s %9s %9s %14s %12s"
           % ("shape", "n", "promises", "load_s", "analyze_all_s", "viewpoint_s"))
     gc.disable()
-    for shape in options.shape or ("wide", "deep"):
+    for shape in options.shape or ("wide", "deep", "sparse"):
         for n in SIZES[shape]:
-            text = document(shape, n)
+            text = document(shape, n, options.seed)
             graph = unvalidated(text)
-            row = [median_time(lambda: load_or_fail(text), options.repeats),
-                   median_time(lambda: analyze_all(graph), options.repeats),
-                   median_time(lambda: viewpoint(graph, "A0"), options.repeats)]
-            print("%-5s %6d %9d %9.3f %14.3f %12.3f" % (shape, n, len(graph.promises), *row))
+            row = ["%9.3f" % median_time(lambda: load_or_fail(text), options.repeats)]
+            if shape == "sparse":
+                row += ["%14s" % "-", "%12s" % "-"]
+            else:
+                row += ["%14.3f" % median_time(lambda: analyze_all(graph), options.repeats),
+                        "%12.3f" % median_time(lambda: viewpoint(graph, "A0"), options.repeats)]
+            print("%-6s %6d %9d %s" % (shape, n, len(graph.promises), " ".join(row)))
             del text, graph
             gc.collect()
 

@@ -31,12 +31,18 @@ TOP_LEVEL_KEYWORDS = frozenset({
     "agent", "superagent", "promise", "imposition", "assessment",
 })
 
+# The lexical rules as pattern fragments; the parser's declaration patterns
+# are built from the same ones. The lookahead keeps a comment from
+# backtracking to expose a token inside it.
+BLANKS = r"[ \t\r]*"
+COMMENT = r"#[^\n]*(?![^\n])"
+WORD = r"[A-Za-z][A-Za-z0-9_-]*"
 _STRING_PREFIX = r'"[^"\\\n]*(?:\\["\\][^"\\\n]*)*'
-# the lookahead keeps a comment from backtracking to expose a token inside it
+STRING_LITERAL = _STRING_PREFIX + '"'
 _TOKEN_RE = re.compile(
-    r'[ \t\r]*(?:#[^\n]*(?![^\n]))?(?:(?P<newline>\n)|(?P<punctuation>[={}\[\],])'
-    r'|(?P<string>' + _STRING_PREFIX + r'")|(?P<word>[A-Za-z][A-Za-z0-9_-]*))')
-_TRAILING_RE = re.compile(r'[ \t\r]*(?:#[^\n]*)?')
+    BLANKS + "(?:" + COMMENT + r")?(?:(?P<newline>\n)|(?P<punctuation>[={}\[\],])"
+    r"|(?P<string>" + STRING_LITERAL + ")|(?P<word>" + WORD + "))")
+_TRAILING_RE = re.compile(BLANKS + r"(?:#[^\n]*)?")
 _STRING_PREFIX_RE = re.compile(_STRING_PREFIX)
 _ESCAPE_RE = re.compile(r'\\(["\\])')
 
@@ -69,11 +75,14 @@ class Token(NamedTuple):
     @property
     def value(self) -> str:
         """Decoded payload: for strings the unescaped content, else the text."""
-        if self.kind is not STRING:
-            return self.text
-        body = self.text[1:-1]
-        # every escape starts with a backslash
-        return _ESCAPE_RE.sub(r"\1", body) if "\\" in body else body
+        return string_value(self.text) if self.kind is STRING else self.text
+
+
+def string_value(literal: str) -> str:
+    """The unescaped content of a string literal's source text."""
+    body = literal[1:-1]
+    # every escape starts with a backslash
+    return _ESCAPE_RE.sub(r"\1", body) if "\\" in body else body
 
 
 class ParseError(NamedTuple):
@@ -110,24 +119,28 @@ def _lex_error(text: str, pos: int, line: int, column: int) -> ParseFailure:
     return ParseFailure([ParseError(message, SourceSpan(pos, end, line, column))])
 
 
-def tokenize(text: str) -> List[Token]:
-    """Scan the whole input; raises ParseFailure with a single error on the
-    first unterminated string, illegal escape or illegal character."""
+def tokenize(text: str, start: int = 0) -> List[Token]:
+    """Scan the input from offset `start` to its end; raises ParseFailure
+    with a single error on the first unterminated string, illegal escape or
+    illegal character. `start` must be where a token, or the blanks and
+    comment before one, begins; lines and columns still count from the top
+    of the text."""
     tokens: List[Token] = []
     match = _TOKEN_RE.match
     new = tuple.__new__  # skips NamedTuple.__new__'s Python frame
-    pos, line, line_start = 0, 1, 0
+    pos, line = start, text.count("\n", 0, start) + 1
+    line_start = text.rfind("\n", 0, start) + 1
     while (found := match(text, pos)) is not None:
         group = found.lastgroup
-        start, end = found.span(group)
-        if start == pos:
-            start = pos  # share the previous token's `end` int: one per token, not two
-        lexeme = text[start:end]
+        first, end = found.span(group)
+        if first == pos:
+            first = pos  # share the previous token's `end` int: one per token, not two
+        lexeme = text[first:end]
         if group == "word":
             kind = KEYWORD if lexeme in KEYWORDS else IDENTIFIER
         else:
             kind = _GROUP_KINDS[group]
-        tokens.append(new(Token, (kind, lexeme, start, end, line, start - line_start + 1)))
+        tokens.append(new(Token, (kind, lexeme, first, end, line, first - line_start + 1)))
         if kind is NEWLINE:
             line, line_start = line + 1, end
         pos = end

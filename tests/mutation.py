@@ -1,0 +1,28 @@
+"""Mutated documents for differential tests. This module does not import
+pytest, so scripts can use it too (`scripts/floor_check.py`)."""
+
+from promisegraph.lexer import KEYWORDS, TOP_LEVEL_KEYWORDS, tokenize
+
+INSERTIONS = [["{", "}", "[", "]"], [",", "="], ["\n"], sorted(KEYWORDS),
+              ['"text"', '""']]
+
+
+def mutate(rng, source):
+    """One to four consecutive declarations of `source`, with 1-3 insertions
+    or deleted token runs, each at a token boundary."""
+    lines = source.splitlines(keepends=True)
+    starts = [i for i, line in enumerate(lines)
+              if line.split(" ", 1)[0] in TOP_LEVEL_KEYWORDS] + [len(lines)]
+    first = rng.randrange(len(starts) - 1)
+    last = min(len(starts) - 1, first + rng.randint(1, 4))
+    text = "".join(lines[starts[first]:starts[last]])
+    for _ in range(rng.randint(1, 3)):
+        starts = [token.start for token in tokenize(text)]
+        if rng.random() < 0.25:
+            i = rng.randrange(len(starts))
+            j = min(len(starts) - 1, i + rng.randint(1, 4))
+            text = text[:starts[i]] + text[starts[j]:]
+        else:
+            at = rng.choice(starts)
+            text = text[:at] + " %s " % rng.choice(rng.choice(INSERTIONS)) + text[at:]
+    return text

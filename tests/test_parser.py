@@ -27,7 +27,6 @@ from promisegraph.parser import (
     parse,
 )
 from promisegraph.lexer import (
-    KEYWORDS,
     TOP_LEVEL_KEYWORDS,
     ParseFailure,
     TokenKind,
@@ -35,6 +34,7 @@ from promisegraph.lexer import (
 )
 
 from conftest import AOA_TOY, BROKEN_TOY, CLEAN_TOY
+from mutation import mutate
 
 
 def only_item(source):
@@ -302,29 +302,11 @@ def parse_outcome(parse_fn, text):
 
 
 SOURCES = [corpus.load_builtin(), CLEAN_TOY, AOA_TOY, BROKEN_TOY]
-INSERTIONS = [["{", "}", "[", "]"], [",", "="], ["\n"], sorted(KEYWORDS),
-              ['"text"', '""']]
 
 
 def mutated_document(rng):
-    """One to four consecutive declarations of a source, with 1-3 insertions
-    or deleted token runs, each at a token boundary."""
-    lines = rng.choice(SOURCES).splitlines(keepends=True)
-    starts = [i for i, line in enumerate(lines)
-              if line.split(" ", 1)[0] in TOP_LEVEL_KEYWORDS] + [len(lines)]
-    first = rng.randrange(len(starts) - 1)
-    last = min(len(starts) - 1, first + rng.randint(1, 4))
-    text = "".join(lines[starts[first]:starts[last]])
-    for _ in range(rng.randint(1, 3)):
-        starts = [token.start for token in tokenize(text)]
-        if rng.random() < 0.25:
-            i = rng.randrange(len(starts))
-            j = min(len(starts) - 1, i + rng.randint(1, 4))
-            text = text[:starts[i]] + text[starts[j]:]
-        else:
-            at = rng.choice(starts)
-            text = text[:at] + " %s " % rng.choice(rng.choice(INSERTIONS)) + text[at:]
-    return text
+    """`mutate` on one of the sources."""
+    return mutate(rng, rng.choice(SOURCES))
 
 
 def has_soft_newline(text):

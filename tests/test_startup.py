@@ -14,6 +14,7 @@ import pytest
 import promisegraph
 from promisegraph import corpus
 from promisegraph.cli import main, run
+from promisegraph.parser import PATTERN_MIN_CHARS
 
 SRC = str(pathlib.Path(promisegraph.__file__).resolve().parents[1])
 CORPUS = pathlib.Path(corpus.__file__).with_name(corpus.CORPUS_FILENAME)
@@ -44,6 +45,22 @@ def test_check_loads_neither_analysis_nor_export_and_analyze_still_works():
         sys.stdout.write(out.getvalue())
     """, CORPUS)
     assert report == (GOLDEN / "report.json").read_text(encoding="utf-8")
+
+
+def test_only_a_long_document_compiles_the_declaration_patterns(tmp_path):
+    long = tmp_path / "long.pml"
+    lines = ["agent A%d kind=human\n" % i for i in range(PATTERN_MIN_CHARS // 20)]
+    long.write_text("".join(lines), encoding="utf-8")
+    assert CORPUS.stat().st_size < PATTERN_MIN_CHARS <= long.stat().st_size
+    run_fresh("""
+        import io, sys
+        from promisegraph.cli import run
+        quiet = io.StringIO()
+        assert run(["check", sys.argv[1]], stdout=quiet, stderr=quiet) == 0
+        assert "promisegraph.patterns" not in sys.modules
+        assert run(["check", sys.argv[2]], stdout=quiet, stderr=quiet) == 0
+        assert "promisegraph.patterns" in sys.modules
+    """, CORPUS, long)
 
 
 @pytest.mark.parametrize("argv", [["--format", "dot", "--viewpoint", "Public"],
