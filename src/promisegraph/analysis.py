@@ -70,11 +70,11 @@ class Finding(_Checked, NamedTuple("Finding", [("rule", FindingRule), ("severity
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> "Finding":
-        self = super().__new__(cls, *args, **kwargs)
-        if not self.subjects:
+    def __new__(cls, rule: FindingRule, severity: Severity, subjects: Tuple[str, ...],
+                message: str, span: SourceSpan) -> "Finding":
+        if not subjects:
             raise ValueError("finding without subjects")
-        return self
+        return tuple.__new__(cls, (rule, severity, subjects, message, span))  # one frame
 
 
 class TrustParams(_Checked, NamedTuple("TrustParams", [("initial", float), ("alpha", float),

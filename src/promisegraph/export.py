@@ -1,15 +1,19 @@
 """Serialization and rendering: canonical JSON round-trip, viewpoint
 filtering, Graphviz DOT output, and report and trust-table rendering.
 
-Canonical form everywhere: object keys sorted, entity lists in declaration
-order, set-valued fields sorted, output newline-terminated. Equal graphs
-produce byte-identical output regardless of process or hash seed.
+Canonical form everywhere: object keys sorted, no whitespace, strings with
+the ASCII escapes of `json.dumps`, entity lists in declaration order,
+set-valued fields sorted, output newline-terminated. Equal graphs produce
+byte-identical output regardless of process or hash seed. The JSON writers
+format each record straight into its output from one template per record
+kind, so they build no dict tree and sort no keys.
 """
 
 from __future__ import annotations
 
 import json
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _quoted  # the escaper json.dumps uses
 from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Set,
                     Tuple, Type, Union)
 
@@ -65,60 +69,70 @@ class ViewpointGraph(NamedTuple):
     graph: PromiseGraph
 
 
-def _span_obj(span: SourceSpan) -> Dict[str, int]:
-    return {"start": span.start, "end": span.end,
-            "line": span.line, "col": span.column}
+# One template per record kind, its keys in the order `json.dumps` sorts
+# them into. The keys are spelled again in the reader table `_GRAPH` on
+# purpose: a writer driven by that table was slower. The round-trip tests
+# hold the two to each other.
+_SPAN_JSON = '"span":{"col":%d,"end":%d,"line":%d,"start":%d}'
+_AGENT_JSON = '{"id":%s,"kind":"%s",' + _SPAN_JSON + '}'
+_SUPERAGENT_JSON = '{"id":%s,"members":%s,' + _SPAN_JSON + '}'
+_PROMISE_JSON = ('{"body":{"affects":%s,"behalf":%s,"condition":%s,"polarity":"%s","text":%s,'
+                 '"topic":%s},"from":%s,"id":%s,"provenance":"%s","scope":%s,'
+                 + _SPAN_JSON + ',"to":%s}')
+_IMPOSITION_JSON = '{"from":%s,"id":%s,"kind":"%s",' + _SPAN_JSON + ',"text":%s,"to":%s}'
+_ASSESSMENT_JSON = ('{"by":%s,"id":%s,"note":%s,"on":%s,"ordinal":%d,' + _SPAN_JSON
+                    + ',"verdict":"%s"}')
+_GRAPH_JSON = ('{"agents":[%s],"assessments":[%s],"impositions":[%s],"promises":[%s],'
+               '"superagents":[%s]}\n')
+_BINDING_JSON = '{"accept":%s,"offer":%s,"topic":%s}'
+_FINDING_JSON = '{"message":%s,"rule":"%s","severity":"%s",' + _SPAN_JSON + ',"subjects":[%s]}'
+_CENSUS_ROW_JSON = '{"accepts_out":%d,"agent":%s,"offers_in":%d,"topic":%s}'
+_TRUST_ROW_JSON = '{"assessor":%s,"subject":%s,"value":%s}'
+_REPORT_JSON = '{"bindings":[%s],"census":[%s],"findings":[%s],"trust":[%s]}\n'
+_TRUST_JSON = '{"initial":%s,"trust":[%s]}\n'
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _graph_obj(graph: PromiseGraph) -> Dict[str, list]:
-    return {
-        "agents": [
-            {"id": a.id, "kind": a.kind.value, "span": _span_obj(a.span)}
-            for a in graph.agents.values()
-        ],
-        "superagents": [
-            {"id": s.id, "members": sorted(s.members), "span": _span_obj(s.span)}
-            for s in graph.superagents.values()
-        ],
-        "promises": [
-            {
-                "id": p.id,
-                "from": p.promiser,
-                "to": sorted(p.promisees),
-                "scope": sorted(p.scope),
-                "provenance": p.provenance.value,
-                "body": {
-                    "polarity": p.body.polarity.value,
-                    "topic": p.body.topic,
-                    "text": p.body.text,
-                    "behalf": p.body.behalf_of,
-                    "affects": sorted(p.body.affects),
-                    "condition": p.body.condition,
-                },
-                "span": _span_obj(p.span),
-            }
-            for p in graph.promises
-        ],
-        "impositions": [
-            {"id": i.id, "from": i.imposer, "to": i.imposee, "kind": i.kind.value,
-             "text": i.text, "span": _span_obj(i.span)}
-            for i in graph.impositions
-        ],
-        "assessments": [
-            {"id": a.id, "by": a.assessor, "on": a.target, "verdict": a.verdict.value,
-             "note": a.note, "ordinal": a.ordinal, "span": _span_obj(a.span)}
-            for a in graph.assessments
-        ],
-    }
+def _name_list(names: FrozenSet[str]) -> str:
+    """A set-valued field: its members in sorted order."""
+    return "[%s]" % ",".join(map(_quoted, sorted(names))) if names else "[]"
 
 
-def _canonical(obj: object) -> bytes:
-    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+def _optional(value: Optional[str]) -> str:
+    return "null" if value is None else _quoted(value)
+
+
+def _number(value: float) -> str:
+    """A float as json.dumps writes it, `NaN` and `Infinity` included."""
+    text = repr(value)
+    return _NON_FINITE.get(text, text)
 
 
 def to_json(graph: PromiseGraph) -> bytes:
     """Canonical JSON bytes for a graph; stable across runs."""
-    return _canonical(_graph_obj(graph))
+    quoted, names, optional = _quoted, _name_list, _optional
+    return (_GRAPH_JSON % (
+        ",".join([_AGENT_JSON % (quoted(id), kind.value, column, end, line, start)
+                  for id, kind, (start, end, line, column) in graph.agents.values()]),
+        ",".join([_ASSESSMENT_JSON % (quoted(assessor), quoted(id), optional(note),
+                                      quoted(target), ordinal, column, end, line, start,
+                                      verdict.value)
+                  for id, assessor, target, verdict, note, ordinal, (start, end, line, column)
+                  in graph.assessments]),
+        ",".join([_IMPOSITION_JSON % (quoted(imposer), quoted(id), kind.value,
+                                      column, end, line, start, quoted(text), quoted(imposee))
+                  for id, imposer, imposee, kind, text, (start, end, line, column)
+                  in graph.impositions]),
+        ",".join([_PROMISE_JSON % (names(affects), optional(behalf), optional(condition),
+                                   polarity.value, quoted(text), quoted(topic), quoted(promiser),
+                                   quoted(id), provenance.value, names(scope),
+                                   column, end, line, start, names(promisees))
+                  for (id, promiser, promisees, (polarity, topic, text, behalf, affects,
+                                                 condition),
+                       scope, provenance, (start, end, line, column)) in graph.promises]),
+        ",".join([_SUPERAGENT_JSON % (quoted(id), names(members), column, end, line, start)
+                  for id, members, (start, end, line, column) in graph.superagents.values()]),
+    )).encode("ascii")
 
 
 _Reader = Callable[[object, str], object]
@@ -161,7 +175,7 @@ def _enum(enum_type: Type[Enum]) -> _Reader:
 
 class _Object:
     """Reads a JSON object into `model(**arguments)`. `fields` are
-    (JSON key, constructor argument, value reader) in to_json key order."""
+    (JSON key, constructor argument, value reader), in the order they are read."""
 
     def __init__(self, model: Callable[..., object], *fields: Tuple[str, str, _Reader]):
         self.model = model
@@ -238,8 +252,8 @@ def from_json(data: Union[bytes, str]) -> PromiseGraph:
     Raises only JsonError. The schema is the `_GRAPH` table above. Bad
     UTF-8, malformed or too deeply nested JSON, schema breaches and
     repeated agent or superagent ids get `$`-rooted paths such as
-    `$.agents[1].id`: the first section wins, then the first key in
-    to_json order. A document that passes reaches `validate`, whose first
+    `$.agents[1].id`: the first section wins, then the first key in the
+    table's order. A document that passes reaches `validate`, whose first
     error gets a bare path from its locator, such as `promises[3].scope[0]`,
     `superagents[0].members` for a superagent without members,
     `agents[2].span` for a span that starts beyond its end,
@@ -371,7 +385,18 @@ def render_report(report: AnalysisReport, format: ReportFormat = ReportFormat.TE
                   color: bool = False) -> str:
     """Render an analysis report; byte-identical for equal reports."""
     if format is ReportFormat.JSON:
-        return _canonical(_report_obj(report)).decode("utf-8")
+        quoted = _quoted
+        return _REPORT_JSON % (
+            ",".join([_BINDING_JSON % (quoted(accept), quoted(offer), quoted(topic))
+                      for offer, accept, topic in report.bindings]),
+            ",".join([_CENSUS_ROW_JSON % (accepts_out, quoted(agent), offers_in, quoted(topic))
+                      for (agent, topic), (offers_in, accepts_out)
+                      in sorted(report.census.items())]),
+            ",".join([_FINDING_JSON % (quoted(message), rule.value, severity.value,
+                                       column, end, line, start, ",".join(map(quoted, subjects)))
+                      for rule, severity, subjects, message, (start, end, line, column)
+                      in report.findings]),
+            _trust_rows(report.trust))
 
     styles = {
         "violation": "\x1b[31m%s\x1b[0m",
@@ -406,7 +431,7 @@ def render_trust(table: TrustTable, format: ReportFormat = ReportFormat.TEXT) ->
     """Render a trust table: one `assessor -> subject: value` line per pair,
     sorted, or JSON `{"initial", "trust"}` with the report's trust rows."""
     if format is ReportFormat.JSON:
-        return _canonical({"initial": table.initial, "trust": _trust_rows(table)}).decode("utf-8")
+        return _TRUST_JSON % (_number(table.initial), _trust_rows(table))
     return "".join(line + "\n" for line in _trust_lines(table))
 
 
@@ -415,33 +440,7 @@ def _trust_lines(table: TrustTable) -> List[str]:
             for (assessor, subject), value in sorted(table.entries.items())]
 
 
-def _report_obj(report: AnalysisReport) -> dict:
-    return {
-        "bindings": [
-            {"offer": b.offer, "accept": b.accept, "topic": b.topic}
-            for b in report.bindings
-        ],
-        "findings": [
-            {
-                "rule": f.rule.value,
-                "severity": f.severity.value,
-                "subjects": list(f.subjects),
-                "message": f.message,
-                "span": _span_obj(f.span),
-            }
-            for f in report.findings
-        ],
-        "census": [
-            {"agent": agent, "topic": topic, "offers_in": offers_in,
-             "accepts_out": accepts_out}
-            for (agent, topic), (offers_in, accepts_out) in sorted(report.census.items())
-        ],
-        "trust": _trust_rows(report.trust),
-    }
-
-
-def _trust_rows(table: TrustTable) -> List[dict]:
-    return [
-        {"assessor": assessor, "subject": subject, "value": value}
-        for (assessor, subject), value in sorted(table.entries.items())
-    ]
+def _trust_rows(table: TrustTable) -> str:
+    quoted = _quoted
+    return ",".join([_TRUST_ROW_JSON % (quoted(assessor), quoted(subject), _number(value))
+                     for (assessor, subject), value in sorted(table.entries.items())])

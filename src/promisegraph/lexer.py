@@ -119,17 +119,17 @@ def _lex_error(text: str, pos: int, line: int, column: int) -> ParseFailure:
     return ParseFailure([ParseError(message, SourceSpan(pos, end, line, column))])
 
 
-def tokenize(text: str, start: int = 0) -> List[Token]:
+def tokenize(text: str, start: int = 0, line: int = 1, line_start: int = 0) -> List[Token]:
     """Scan the input from offset `start` to its end; raises ParseFailure
     with a single error on the first unterminated string, illegal escape or
     illegal character. `start` must be where a token, or the blanks and
-    comment before one, begins; lines and columns still count from the top
-    of the text."""
+    comment before one, begins; `line` is its line number and `line_start`
+    the offset where that line begins, so lines and columns still count
+    from the top of the text."""
     tokens: List[Token] = []
     match = _TOKEN_RE.match
     new = tuple.__new__  # skips NamedTuple.__new__'s Python frame
-    pos, line = start, text.count("\n", 0, start) + 1
-    line_start = text.rfind("\n", 0, start) + 1
+    pos = start
     while (found := match(text, pos)) is not None:
         group = found.lastgroup
         first, end = found.span(group)

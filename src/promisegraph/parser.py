@@ -12,7 +12,7 @@ least `PATTERN_MIN_CHARS` characters, with one compiled pattern per form
 (`patterns`). The patterns accept exactly what the token parser here
 accepts without a diagnostic, and build the same records. From the first
 declaration they miss, or from the top of a shorter text, the
-recursive-descent token parser reads the rest (`tokenize(text, start)`),
+recursive-descent token parser reads the rest (`tokenize(text, *position)`),
 so it owns every diagnostic: on a grammar error it records one and skips
 to the next top-level keyword, so one run reports every broken statement.
 On a long clean document it sees only the end.
@@ -323,11 +323,11 @@ PATTERN_MIN_CHARS = 65536
 def parse(text: str) -> Document:
     """Parse a document; raises ParseFailure carrying every diagnostic."""
     items: List[Item] = []
-    start = 0
+    position = (0, 1, 0)  # offset, line, line start
     if len(text) >= PATTERN_MIN_CHARS:
         from .patterns import match_declarations
-        start = match_declarations(text, items)
-    parser = _Parser(tokenize(text, start))
+        position = match_declarations(text, items)
+    parser = _Parser(tokenize(text, *position))
     errors: List[ParseError] = []
 
     while True:

@@ -150,10 +150,10 @@ _FORMS: Dict[str, Tuple[re.Pattern[str], Callable[[SourceSpan, _Groups], Optiona
 }
 
 
-def match_declarations(text: str, items: List[Item]) -> int:
+def match_declarations(text: str, items: List[Item]) -> Tuple[int, int, int]:
     """Append the records of the declarations the patterns match, from the
-    top of the text; return the offset of the first declaration they miss,
-    or the end of the text."""
+    top of the text; return where the first declaration they miss starts,
+    or the end of the text, as `tokenize` takes it: offset, line, line start."""
     pos = _SOFT_GAP_RE.match(text).end()
     line, counted = 1, 0
     while (form := _FORMS.get(text[pos:pos + 2])) is not None:
@@ -170,4 +170,4 @@ def match_declarations(text: str, items: List[Item]) -> int:
             break
         items.append(item)
         pos = found.end()
-    return pos
+    return pos, line + text.count("\n", counted, pos), text.rfind("\n", 0, pos) + 1

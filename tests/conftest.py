@@ -7,7 +7,10 @@ Every generated graph is checked against validate() before use.
 
 from __future__ import annotations
 
+import importlib.util
+import pathlib
 import random
+import sys
 from typing import List, Optional
 
 import pytest
@@ -28,6 +31,17 @@ from promisegraph.model import (
     Verdict,
     validate,
 )
+
+GEN_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+
+
+def load_gen():
+    """perfbench's document generators; perfbench is not a package."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN_PATH)
+    gen = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
 
 AGENT_NAMES = ["Alpha", "Bravo", "Carol", "Delta", "Echo", "Foxtrot"]
 GROUP_NAMES = ["Group1", "Group2"]

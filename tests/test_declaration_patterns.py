@@ -8,7 +8,6 @@ text (`reference_parse`). `parse` leaves a text shorter than
 every non-empty text.
 """
 
-import importlib.util
 import os
 import pathlib
 import random
@@ -33,19 +32,11 @@ from promisegraph.parser import (
 )
 from promisegraph.patterns import match_declarations
 
+from conftest import load_gen
 from test_lower import random_document
 from test_parser import mutated_document, parse_outcome, reference_parse
 
 SRC = str(pathlib.Path(promisegraph.__file__).resolve().parents[1])
-GEN_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-
-
-def load_gen():
-    """perfbench's document generators; perfbench is not a package."""
-    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN_PATH)
-    gen = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -55,10 +46,17 @@ def patterns_at_any_length():
         yield
 
 
+def position(text, offset):
+    """The offset with its line and line start, counted from the top."""
+    return offset, text.count("\n", 0, offset) + 1, text.rfind("\n", 0, offset) + 1
+
+
 def pattern_reach(text):
-    """'all', 'some' or 'none': how many declarations the patterns took."""
+    """'all', 'some' or 'none': how many declarations the patterns took.
+    Also checks the line and line start they return with the stop offset."""
     items = []
-    stop = match_declarations(text, items)
+    stop, line, line_start = match_declarations(text, items)
+    assert (stop, line, line_start) == position(text, stop), text
     if stop == len(text):
         return "all"
     return "some" if items else "none"
@@ -142,9 +140,10 @@ def test_only_a_text_of_pattern_min_chars_goes_to_the_patterns(monkeypatch):
     starts = []
     original = parser.tokenize
 
-    def recording(text, start=0):
+    def recording(text, start=0, line=1, line_start=0):
         starts.append(start)
-        return original(text, start)
+        assert (start, line, line_start) == position(text, start)
+        return original(text, start, line, line_start)
 
     monkeypatch.setattr(parser, "tokenize", recording)
     text = corpus.load_builtin()
@@ -165,10 +164,10 @@ TOKENIZED = [
 def test_tokenize_from_an_offset_numbers_from_the_top(text):
     everything = tokenize(text)
     for i, token in enumerate(everything):
-        assert tokenize(text, token.start) == everything[i:]
+        assert tokenize(text, *position(text, token.start)) == everything[i:]
         if i:
             # or from the blanks and comment in front of the token
-            assert tokenize(text, everything[i - 1].end) == everything[i:]
+            assert tokenize(text, *position(text, everything[i - 1].end)) == everything[i:]
 
 
 @pytest.mark.parametrize("text", [t + "\n  x @ y" for t in TOKENIZED])
@@ -176,7 +175,7 @@ def test_tokenize_from_an_offset_reports_the_same_lexical_error(text):
     with pytest.raises(ParseFailure) as whole:
         tokenize(text)
     with pytest.raises(ParseFailure) as tail:
-        tokenize(text, text.rindex("x"))
+        tokenize(text, *position(text, text.rindex("x")))
     assert tail.value.errors == whole.value.errors
     assert whole.value.errors[0].span.line == text.count("\n") + 1
 
@@ -204,7 +203,7 @@ from promisegraph.patterns import match_declarations
 with open(sys.argv[1], encoding="utf-8", newline="") as source:
     text = source.read()
 started = time.perf_counter()
-stop = match_declarations(text, [])
+stop, _, _ = match_declarations(text, [])
 print(time.perf_counter() - started, stop < len(text))
 """
 

@@ -8,7 +8,10 @@ from collections import Counter
 from typing import Dict, List, Optional, Tuple, Union
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from promisegraph import corpus
 from promisegraph.export import (
     _KIND_SHAPES,
     JsonError,
@@ -16,11 +19,20 @@ from promisegraph.export import (
     ReportFormat,
     from_json,
     render_report,
+    render_trust,
     to_dot,
     to_json,
     viewpoint,
 )
-from promisegraph.analysis import analyze_all
+from promisegraph.analysis import (
+    AnalysisReport,
+    Binding,
+    Finding,
+    FindingRule,
+    Severity,
+    TrustTable,
+    analyze_all,
+)
 from promisegraph.lower import load
 from promisegraph.model import (
     Agent,
@@ -40,7 +52,7 @@ from promisegraph.model import (
     visible_to,
 )
 
-from conftest import make_random_graph
+from conftest import load_gen, make_random_graph
 
 EMPTY_JSON = (b'{"agents":[],"assessments":[],"impositions":[],'
               b'"promises":[],"superagents":[]}\n')
@@ -534,7 +546,7 @@ def mutate(doc, rng):
 
 
 # The one diagnostic difference from the reference, on rejected input: an
-# object with several schema errors reports the first in to_json key order
+# object with several schema errors reports the first in `_GRAPH`'s order
 # (the reference checked `body`'s keys and `to` first in a promise, and
 # `members` first in a superagent). Both leave the declaration checks
 # (empty `members`, `to` and topic, bad spans) to `validate`, and report
@@ -810,3 +822,219 @@ def test_report_rendering_is_deterministic():
     assert render_report(report) == render_report(report)
     assert (render_report(report, ReportFormat.JSON)
             == render_report(report, ReportFormat.JSON))
+
+
+# -- the JSON writers against json.dumps ----------------------------------------
+# The dict builders that `to_json`, `render_report` and `render_trust` used
+# before they wrote each record straight from a template, kept unchanged as
+# the reference. Each writer must give, byte for byte, the reference object
+# through `json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"`.
+
+def _span_obj(span: SourceSpan) -> Dict[str, int]:
+    return {"start": span.start, "end": span.end,
+            "line": span.line, "col": span.column}
+
+
+def _graph_obj(graph: PromiseGraph) -> Dict[str, list]:
+    return {
+        "agents": [
+            {"id": a.id, "kind": a.kind.value, "span": _span_obj(a.span)}
+            for a in graph.agents.values()
+        ],
+        "superagents": [
+            {"id": s.id, "members": sorted(s.members), "span": _span_obj(s.span)}
+            for s in graph.superagents.values()
+        ],
+        "promises": [
+            {
+                "id": p.id,
+                "from": p.promiser,
+                "to": sorted(p.promisees),
+                "scope": sorted(p.scope),
+                "provenance": p.provenance.value,
+                "body": {
+                    "polarity": p.body.polarity.value,
+                    "topic": p.body.topic,
+                    "text": p.body.text,
+                    "behalf": p.body.behalf_of,
+                    "affects": sorted(p.body.affects),
+                    "condition": p.body.condition,
+                },
+                "span": _span_obj(p.span),
+            }
+            for p in graph.promises
+        ],
+        "impositions": [
+            {"id": i.id, "from": i.imposer, "to": i.imposee, "kind": i.kind.value,
+             "text": i.text, "span": _span_obj(i.span)}
+            for i in graph.impositions
+        ],
+        "assessments": [
+            {"id": a.id, "by": a.assessor, "on": a.target, "verdict": a.verdict.value,
+             "note": a.note, "ordinal": a.ordinal, "span": _span_obj(a.span)}
+            for a in graph.assessments
+        ],
+    }
+
+
+def _report_obj(report: AnalysisReport) -> dict:
+    return {
+        "bindings": [
+            {"offer": b.offer, "accept": b.accept, "topic": b.topic}
+            for b in report.bindings
+        ],
+        "findings": [
+            {
+                "rule": f.rule.value,
+                "severity": f.severity.value,
+                "subjects": list(f.subjects),
+                "message": f.message,
+                "span": _span_obj(f.span),
+            }
+            for f in report.findings
+        ],
+        "census": [
+            {"agent": agent, "topic": topic, "offers_in": offers_in,
+             "accepts_out": accepts_out}
+            for (agent, topic), (offers_in, accepts_out) in sorted(report.census.items())
+        ],
+        "trust": _trust_rows(report.trust),
+    }
+
+
+def _trust_rows(table: TrustTable) -> List[dict]:
+    return [
+        {"assessor": assessor, "subject": subject, "value": value}
+        for (assessor, subject), value in sorted(table.entries.items())
+    ]
+
+
+def canonical(obj: object) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def assert_graph_written_as_reference(graph):
+    assert to_json(graph) == canonical(_graph_obj(graph)).encode("utf-8")
+
+
+def assert_report_written_as_reference(report):
+    assert render_report(report, ReportFormat.JSON) == canonical(_report_obj(report))
+    assert render_trust(report.trust, ReportFormat.JSON) == canonical(
+        {"initial": report.trust.initial, "trust": _trust_rows(report.trust)})
+
+
+# Strings that json.dumps escapes in every way it can: quotes, backslashes,
+# control characters, the line and paragraph separators, DEL, non-ASCII,
+# astral characters and a lone surrogate (from_json reads `"\udc80"`).
+awkward_strings = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x08\t\n\x0c\r\x1f\x7f\u2028\u2029é€\ufeff\U0001f600\U0010ffff\udc80'),
+    st.characters()), max_size=6)
+optional_strings = st.one_of(st.none(), st.just(""), awkward_strings)
+name_sets = st.frozensets(awkward_strings, max_size=3)
+spans = st.builds(SourceSpan, *[st.integers(-2 ** 70, 2 ** 70)] * 4)
+bodies = st.builds(Body, st.sampled_from(Polarity), awkward_strings, awkward_strings,
+                   optional_strings, name_sets, optional_strings)
+awkward_graphs = st.builds(
+    PromiseGraph,
+    agents=st.lists(st.builds(Agent, awkward_strings, st.sampled_from(AgentKind), spans),
+                    max_size=4).map(lambda agents: {a.id: a for a in agents}),
+    superagents=st.lists(st.builds(Superagent, awkward_strings, name_sets, spans),
+                         max_size=3).map(lambda groups: {s.id: s for s in groups}),
+    promises=st.lists(st.builds(Promise, awkward_strings, awkward_strings, name_sets, bodies,
+                                name_sets, st.sampled_from(Provenance), spans),
+                      max_size=4).map(tuple),
+    impositions=st.lists(st.builds(Imposition, awkward_strings, awkward_strings,
+                                   awkward_strings, st.sampled_from(ImpositionKind),
+                                   awkward_strings, spans), max_size=3).map(tuple),
+    assessments=st.lists(st.builds(Assessment, awkward_strings, awkward_strings,
+                                   awkward_strings, st.sampled_from(Verdict), optional_strings,
+                                   st.integers(-2 ** 70, 2 ** 70), spans),
+                         max_size=3).map(tuple),
+)
+trust_values = st.floats(allow_nan=True, allow_infinity=True)
+awkward_reports = st.builds(
+    AnalysisReport,
+    bindings=st.lists(st.builds(Binding, awkward_strings, awkward_strings, awkward_strings),
+                      max_size=3).map(tuple),
+    findings=st.lists(st.builds(Finding, st.sampled_from(FindingRule), st.sampled_from(Severity),
+                                st.lists(awkward_strings, min_size=1, max_size=3).map(tuple),
+                                awkward_strings, spans), max_size=3).map(tuple),
+    census=st.dictionaries(st.tuples(awkward_strings, awkward_strings),
+                           st.tuples(st.integers(0, 2 ** 40), st.integers(0, 2 ** 40)),
+                           max_size=3),
+    trust=st.builds(TrustTable, trust_values,
+                    st.dictionaries(st.tuples(awkward_strings, awkward_strings), trust_values,
+                                    max_size=3)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(awkward_graphs)
+def test_to_json_matches_the_reference_on_awkward_graphs(graph):
+    assert_graph_written_as_reference(graph)
+
+
+@settings(max_examples=200, deadline=None)
+@given(awkward_reports)
+def test_report_and_trust_json_match_the_reference_on_awkward_reports(report):
+    assert_report_written_as_reference(report)
+
+
+@st.composite
+def analyzable_graphs(draw):
+    """A graph whose references resolve, so that it can be analyzed, with
+    awkward names throughout."""
+    names = draw(st.lists(awkward_strings, min_size=2, max_size=6, unique=True))
+    split = draw(st.integers(1, len(names)))
+    agents = {name: Agent(name, draw(st.sampled_from(AgentKind))) for name in names[:split]}
+    superagents = {}
+    for i in range(split, len(names)):  # members declared earlier: no cycles
+        members = draw(st.frozensets(st.sampled_from(names[:i]), min_size=1, max_size=3))
+        superagents[names[i]] = Superagent(names[i], members)
+    actors = st.sampled_from(names)
+    actor_sets = st.frozensets(actors, max_size=2)
+    ids = draw(st.lists(awkward_strings, max_size=8, unique=True))
+    promises = tuple(
+        Promise(pid, draw(actors), draw(st.frozensets(actors, min_size=1, max_size=2)),
+                Body(draw(st.sampled_from(Polarity)), draw(st.sampled_from(["t", "é\u2028"])),
+                     draw(awkward_strings), draw(st.none() | actors), draw(actor_sets),
+                     draw(optional_strings)),
+                draw(actor_sets), draw(st.sampled_from(Provenance)))
+        for pid in ids)
+    assessments = tuple(
+        Assessment("v%d" % i, draw(actors), draw(st.sampled_from(ids)),
+                   draw(st.sampled_from(Verdict)), draw(optional_strings), i)
+        for i in range(draw(st.integers(0, 4) if ids else st.just(0))))
+    return PromiseGraph(agents=agents, superagents=superagents, promises=promises,
+                        assessments=assessments)
+
+
+@settings(max_examples=100, deadline=None)
+@given(analyzable_graphs())
+def test_writers_match_the_reference_on_analyzed_awkward_graphs(graph):
+    assert_graph_written_as_reference(graph)
+    assert_report_written_as_reference(analyze_all(graph))
+
+
+def test_writers_match_the_reference_on_the_corpus_and_benchmark_documents():
+    gen = load_gen()
+    texts = [corpus.load_builtin()]
+    texts += [make(seed).text for make in (gen.sparse, gen.dense) for seed in (1, 5, 9)]
+    for text in texts:
+        graph = load(text)
+        assert_graph_written_as_reference(graph)
+        assert_report_written_as_reference(analyze_all(graph))
+
+
+def test_non_finite_and_negative_zero_trust_values_are_written_as_json_dumps_does():
+    table = TrustTable(float("nan"), {("A", "B"): float("inf"), ("A", "C"): -0.0,
+                                      ("B", "A"): float("-inf"), ("C", "A"): float("nan")})
+    expected = ('{"initial":NaN,"trust":[{"assessor":"A","subject":"B","value":Infinity},'
+                '{"assessor":"A","subject":"C","value":-0.0},'
+                '{"assessor":"B","subject":"A","value":-Infinity},'
+                '{"assessor":"C","subject":"A","value":NaN}]}\n')
+    assert render_trust(table, ReportFormat.JSON) == expected
+    report = AnalysisReport((), (), {}, table)
+    assert render_report(report, ReportFormat.JSON) == (
+        '{"bindings":[],"census":[],"findings":[],"trust":' + expected[expected.index("["):])
+    assert_report_written_as_reference(report)
