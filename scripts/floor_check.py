@@ -63,7 +63,7 @@ def outcome(text: str):
 
 def token_path(text: str):
     """`parse` with no declaration patterns: the token parser reads it all."""
-    with mock.patch.object(patterns, "match_declarations", lambda text, items: 0):
+    with mock.patch.object(patterns, "match_declarations", lambda text, items: (0, 1, 0)):
         return outcome(text)
 
 

@@ -8,8 +8,9 @@ in promisegraph; it is reported as one `error: internal: <Type>: <message>`
 line, never as a traceback. Diagnostics go to stderr, artifacts to stdout,
 so json/dot output can be piped safely. `run` writes only to the streams it
 is given, argparse's messages included, and reads a file's text untranslated,
-as it reads stdin. Apart from `report`'s summary line, stdout gets only what
-an `export` renderer returns.
+as it reads stdin; `main` gives it stdin as strict UTF-8, as a file is read,
+and stdout as UTF-8, whatever the host's locale. Apart from `report`'s
+summary line, stdout gets only what an `export` renderer returns.
 
 Analysis and export are imported only by the commands that run them, so
 `check` never loads them, and `main` runs with the cyclic garbage collector
@@ -84,8 +85,10 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     return root
 
 
-def _read_input(path: str, stdin: IO[str]) -> str:
+def _read_input(path: str, stdin: Optional[IO[str]]) -> str:
     if path == "-":
+        if stdin is None:  # the process started with no stdin
+            raise OSError("stdin is closed")
         return stdin.read()
     with open(path, "r", encoding="utf-8", newline="") as handle:
         return handle.read()
@@ -192,8 +195,9 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str], stdout: IO[str],
 
 def main() -> None:
     gc.disable()
+    # sys.stdin is None in a process started without one
+    if hasattr(sys.stdin, "reconfigure"):
+        sys.stdin.reconfigure(encoding="utf-8", errors="strict", newline="")
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(encoding="utf-8")
     sys.exit(run(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

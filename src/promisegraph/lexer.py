@@ -27,10 +27,6 @@ KEYWORDS = frozenset({
     "by", "on", "verdict", "note",
 })
 
-TOP_LEVEL_KEYWORDS = frozenset({
-    "agent", "superagent", "promise", "imposition", "assessment",
-})
-
 # The lexical rules as pattern fragments; the parser's declaration patterns
 # are built from the same ones. The lookahead keeps a comment from
 # backtracking to expose a token inside it.
@@ -42,7 +38,7 @@ STRING_LITERAL = _STRING_PREFIX + '"'
 _TOKEN_RE = re.compile(
     BLANKS + "(?:" + COMMENT + r")?(?:(?P<newline>\n)|(?P<punctuation>[={}\[\],])"
     r"|(?P<string>" + STRING_LITERAL + ")|(?P<word>" + WORD + "))")
-_TRAILING_RE = re.compile(BLANKS + r"(?:#[^\n]*)?")
+_TRAILING_RE = re.compile(BLANKS + "(?:" + COMMENT + ")?")
 _STRING_PREFIX_RE = re.compile(_STRING_PREFIX)
 _ESCAPE_RE = re.compile(r'\\(["\\])')
 

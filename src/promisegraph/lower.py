@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from . import parser as ast
 from .model import (
     Agent,
     Assessment,
@@ -27,6 +26,7 @@ from .model import (
     Superagent,
     validate,
 )
+from .parser import Document, parse
 
 
 class LowerFailure(Exception):
@@ -37,7 +37,7 @@ class LowerFailure(Exception):
         self.errors = errors
 
 
-def lower(doc: ast.Document) -> PromiseGraph:
+def lower(doc: Document) -> PromiseGraph:
     errors: List[StructuralError] = []
 
     def err(code: ErrorCode, message: str, span: SourceSpan) -> None:
@@ -85,4 +85,4 @@ def lower(doc: ast.Document) -> PromiseGraph:
 
 def load(text: str) -> PromiseGraph:
     """Parse and lower a document in one step."""
-    return lower(ast.parse(text))
+    return lower(parse(text))

@@ -187,22 +187,19 @@ def expand_members(graph: PromiseGraph, names: Set[str]) -> Set[str]:
     return seen
 
 
-def _privy(graph: PromiseGraph, promise: Promise) -> Set[str]:
-    """The actors privy to a promise: promiser, promisees and scope, with
-    superagents expanded downward to their member agents."""
-    return expand_members(graph, {promise.promiser, *promise.promisees, *promise.scope})
-
-
 def visible_to(graph: PromiseGraph, promise_id: str) -> FrozenSet[str]:
-    """The actors privy to the promise with this id (see `_privy`); raises
+    """The actors privy to the promise with this id: promiser, promisees and
+    scope, with superagents expanded downward to their member agents; raises
     KeyError for an unknown id."""
-    return frozenset(_privy(graph, graph.promise_by_id(promise_id)))
+    promise = graph.promise_by_id(promise_id)
+    return frozenset(expand_members(graph, {promise.promiser, *promise.promisees,
+                                            *promise.scope}))
 
 
 class _Watchers(dict):
     """name -> that name plus every superagent that lists it, transitively,
     each walked up once on first lookup through one member -> superagents
-    index. `_privy`'s rule, read upward: a name is privy to a promise iff
+    index. `visible_to`'s rule, read upward: a name is privy to a promise iff
     its watchers meet the promiser, the promisees or the scope."""
 
     def __init__(self, graph: PromiseGraph) -> None:
@@ -272,13 +269,13 @@ def _superagent_cycles(graph: PromiseGraph) -> List[str]:
 
 
 def validate(graph: PromiseGraph) -> List[StructuralError]:
-    """Check every graph invariant: spans in order and 1-based, non-empty
-    members, promisees and topics, references, unique promise, imposition
-    and assessment ids, acyclic superagents, disjoint agent and superagent
-    names, no promise on behalf of its own promiser, no imposition on its
-    own imposer, increasing assessment ordinals. Returns errors in
-    declaration order, each with its locator; empty iff the graph is
-    well-formed."""
+    """Check every graph invariant: spans from offset 0, in order and
+    1-based, non-empty members, promisees and topics, references, unique
+    promise, imposition and assessment ids, acyclic superagents, disjoint
+    agent and superagent names, no promise on behalf of its own promiser,
+    no imposition on its own imposer, increasing assessment ordinals.
+    Returns errors in declaration order, each with its locator; empty iff
+    the graph is well-formed."""
     errors: List[StructuralError] = []
     actors = graph.agents.keys() | graph.superagents.keys()
 
@@ -290,7 +287,9 @@ def validate(graph: PromiseGraph) -> List[StructuralError]:
 
     def check_span(context: str, span: SourceSpan, locator: Locator) -> None:
         start, end, line, column = span
-        if start > end:
+        if start < 0:
+            invalid("%s span starts before offset 0" % context, span, locator + ("span",))
+        elif start > end:
             invalid("%s span starts beyond its end" % context, span, locator + ("span",))
         elif line < 1 or column < 1:
             invalid("%s span has a line or column below 1" % context, span, locator + ("span",))

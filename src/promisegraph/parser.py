@@ -30,7 +30,6 @@ from .lexer import (
     NEWLINE,
     PUNCTUATION,
     STRING,
-    TOP_LEVEL_KEYWORDS,
     ParseError,
     ParseFailure,
     Token,
@@ -60,15 +59,16 @@ VERDICTS = {v.value: v for v in Verdict}
 # module names: a name lookup is several times cheaper than `Polarity.OFFER`
 OFFER, ACCEPT = Polarity
 
-# The clause defaults; the declaration patterns' builders use them too.
-# NO_NAMES is shared by every omitted scope and affects clause, and every
-# assessment has ordinal 0 until `lower` numbers them in source order.
-DEFAULT_AGENT_KIND = AgentKind.SYSTEM
-DEFAULT_PROVENANCE = Provenance.EXPLICIT
-DEFAULT_IMPOSITION_KIND = ImpositionKind.REQUIREMENT
-NO_TEXT = ""
-NO_NAMES: FrozenSet[str] = frozenset()
-UNNUMBERED = 0
+# The clause defaults are the records' own; the declaration patterns'
+# builders use them too. NO_NAMES is shared by every omitted scope and
+# affects clause, and every assessment keeps its default ordinal until
+# `lower` numbers them in source order.
+DEFAULT_AGENT_KIND = Agent._field_defaults["kind"]
+DEFAULT_PROVENANCE = Promise._field_defaults["provenance"]
+DEFAULT_IMPOSITION_KIND = Imposition._field_defaults["kind"]
+NO_TEXT = Body._field_defaults["text"]
+NO_NAMES: FrozenSet[str] = Promise._field_defaults["scope"]
+UNNUMBERED = Assessment._field_defaults["ordinal"]
 
 Item = Union[Agent, Superagent, Promise, Imposition, Assessment]
 
@@ -77,14 +77,6 @@ class Document(NamedTuple):
     """The declarations of one document, as model records in source order."""
 
     items: Tuple[Item, ...]
-
-
-class _Unwind(Exception):
-    """Internal signal: abandon the current statement and recover."""
-
-    def __init__(self, error: ParseError):
-        super().__init__(str(error))
-        self.error = error
 
 
 class _Parser:
@@ -118,7 +110,8 @@ class _Parser:
         return token
 
     def fail(self, message: str) -> None:
-        raise _Unwind(ParseError(message, self.peek().span))
+        """Abandon the current statement; the statement loop recovers."""
+        raise ParseFailure([ParseError(message, self.peek().span)])
 
     def match_keyword(self, word: str) -> bool:
         token = self.peek()
@@ -133,7 +126,7 @@ class _Parser:
             self.fail("expected keyword %r, found %s" % (word, _describe(token)))
         return self.advance()
 
-    def expect_ident(self, what: str = "identifier") -> Token:
+    def expect_ident(self, what: str) -> Token:
         token = self.peek()
         if token.kind is not IDENTIFIER:
             self.fail("expected %s, found %s" % (what, _describe(token)))
@@ -154,13 +147,13 @@ class _Parser:
     def expect_choice(self, allowed: Dict[str, Enum], what: str) -> Enum:
         token = self.expect_ident(what)
         if token.text not in allowed:
-            raise _Unwind(ParseError(
+            raise ParseFailure([ParseError(
                 "expected %s (one of %s), found %r" % (what, ", ".join(allowed), token.text),
-                token.span))
+                token.span)])
         return allowed[token.text]
 
     def recover(self) -> None:
-        """Skip to the next top-level keyword (or EOF)."""
+        """Skip to the next declaration keyword (or EOF)."""
         self.depth = 0
         if self.tokens[self.pos].kind is not EOF:
             self.pos += 1
@@ -168,7 +161,7 @@ class _Parser:
             token = self.tokens[self.pos]
             if token.kind is EOF:
                 return
-            if token.kind is KEYWORD and token.text in TOP_LEVEL_KEYWORDS:
+            if token.kind is KEYWORD and token.text in _ITEM_PARSERS:
                 return
             self.pos += 1
 
@@ -343,8 +336,8 @@ def parse(text: str) -> Document:
             terminator = parser.peek()
             if terminator.kind not in (NEWLINE, EOF):
                 parser.fail("expected end of statement, found %s" % _describe(terminator))
-        except _Unwind as unwind:
-            errors.append(unwind.error)
+        except ParseFailure as failure:
+            errors.extend(failure.errors)
             parser.recover()
 
     if errors:

@@ -34,7 +34,8 @@ from .parser import (
 _POLARITIES = {p.value: p for p in Polarity}
 _CHOICES = {"AGENT_KIND": AGENT_KINDS, "PROVENANCE": PROVENANCES, "POLARITY": _POLARITIES,
             "IMPOSITION_KIND": IMPOSITION_KINDS, "VERDICT": VERDICTS}
-_WORD_END = r"(?![A-Za-z0-9_-])"
+# a word ends before any character that WORD's tail class could take
+_WORD_END = "(?!%s)" % WORD[WORD.index("]") + 1:-1]
 _NAME = WORD + _WORD_END
 _SOFT_GAP = r"[ \t\r\n]*(?:%s[ \t\r\n]*)*" % COMMENT
 _SOFT_GAP_RE = re.compile(_SOFT_GAP)

@@ -1,7 +1,8 @@
 """Mutated documents for differential tests. This module does not import
 pytest, so scripts can use it too (`scripts/floor_check.py`)."""
 
-from promisegraph.lexer import KEYWORDS, TOP_LEVEL_KEYWORDS, tokenize
+from promisegraph.lexer import KEYWORDS, tokenize
+from promisegraph.parser import _ITEM_PARSERS
 
 INSERTIONS = [["{", "}", "[", "]"], [",", "="], ["\n"], sorted(KEYWORDS),
               ['"text"', '""']]
@@ -12,7 +13,7 @@ def mutate(rng, source):
     or deleted token runs, each at a token boundary."""
     lines = source.splitlines(keepends=True)
     starts = [i for i, line in enumerate(lines)
-              if line.split(" ", 1)[0] in TOP_LEVEL_KEYWORDS] + [len(lines)]
+              if line.split(" ", 1)[0] in _ITEM_PARSERS] + [len(lines)]
     first = rng.randrange(len(starts) - 1)
     last = min(len(starts) - 1, first + rng.randint(1, 4))
     text = "".join(lines[starts[first]:starts[last]])

@@ -1,13 +1,23 @@
 """CLI exit codes, stream discipline, and flag plumbing."""
 
+import argparse
 import io
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from promisegraph.cli import run
+import promisegraph
+from promisegraph.analysis import AnalysisConfig, Severity, TrustParams
+from promisegraph.cli import _build_arg_parser, run
+from promisegraph.export import ReportFormat
 from promisegraph import corpus
+
+SRC = str(pathlib.Path(promisegraph.__file__).resolve().parents[1])
+CORPUS = pathlib.Path(corpus.__file__).with_name(corpus.CORPUS_FILENAME)
 
 
 @pytest.fixture
@@ -407,3 +417,76 @@ def test_internal_error_exits_three_without_traceback(corpus_path, monkeypatch):
     assert out == ""
     assert err == "error: internal: RuntimeError: boom second line\n"
     assert "Traceback" not in err
+
+
+def options(command):
+    """dest -> argparse action, for each option of one command."""
+    commands = next(action for action in _build_arg_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return {action.dest: action for action in commands.choices[command]._actions}
+
+
+# the CLI spells these out so that `check` need not import analysis or export
+@pytest.mark.parametrize("command", ["analyze", "report", "trust"])
+def test_flag_defaults_and_choices_match_the_records(command):
+    flags = options(command)
+    assert TrustParams(flags["trust_initial"].default, flags["trust_alpha"].default,
+                       flags["trust_beta"].default) == TrustParams()
+    if command != "trust":
+        assert flags["quorum"].default == AnalysisConfig().quorum
+        assert flags["fail_on"].choices == [severity.value for severity in Severity]
+        assert flags["fail_on"].default == Severity.VIOLATION.value
+    if command != "report":
+        assert flags["format"].choices == [format_.value for format_ in ReportFormat]
+        assert flags["format"].default == ReportFormat.TEXT.value
+
+
+# A path is read as strict UTF-8; stdin must be too, and stdout must take
+# any character, whatever encoding the host gives the standard streams.
+HOST_ENCODINGS = {"default": {}, "latin-1": {"PYTHONIOENCODING": "latin-1"},
+                  "c-locale": {"LC_ALL": "C", "PYTHONUTF8": "0"}}
+
+
+def run_cli(argv, stdin=b"", env=None, **options):
+    """The CLI in a new interpreter: exit code, stdout bytes, stderr text."""
+    environ = {k: v for k, v in os.environ.items()
+               if k not in ("PYTHONIOENCODING", "PYTHONUTF8", "LC_ALL")}
+    environ.update(env or {})
+    environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "promisegraph", *argv], input=stdin,
+                          env=environ, capture_output=True, timeout=60, **options)
+    return done.returncode, done.stdout, done.stderr.decode("utf-8", "backslashreplace")
+
+
+@pytest.mark.parametrize("env", HOST_ENCODINGS.values(), ids=HOST_ENCODINGS.keys())
+@pytest.mark.parametrize("source, argv", [
+    (b"agent A\n# caf\xe9\n", ["check"]),
+    (b'agent A\nagent B\nimposition i from A to B { "caf\xe9" }\n',
+     ["export", "--format", "json"]),
+    (b'agent A\nagent B\nimposition i from A to B { "caf\xc3\xa9" }\n',
+     ["export", "--format", "json"]),
+], ids=["latin-1-comment", "latin-1-string", "utf-8-string"])
+def test_stdin_is_read_as_a_path_is(tmp_path, env, source, argv):
+    path = tmp_path / "doc.pml"
+    path.write_bytes(source)
+    code, out, err = run_cli([argv[0], "-", *argv[1:]], stdin=source, env=env)
+    assert (code, out, err.replace("error: -", "error: %s" % path)) == \
+        run_cli([argv[0], str(path), *argv[1:]], env=env)
+    if b"\xc3" in source:
+        assert code == 0 and b'"text":"caf\\u00e9"' in out
+    else:
+        assert code == 2 and "is not valid UTF-8" in err
+
+
+@pytest.mark.parametrize("env", HOST_ENCODINGS.values(), ids=HOST_ENCODINGS.keys())
+def test_stdout_takes_any_character_whatever_the_host_encoding(env):
+    expected = run_cli(["export", str(CORPUS), "--format", "dot"],
+                       env={"PYTHONIOENCODING": "utf-8"})
+    assert expected[0] == 0 and "−".encode("utf-8") in expected[1]
+    assert run_cli(["export", "-", "--format", "dot"], stdin=CORPUS.read_bytes(),
+                   env=env) == expected
+
+
+def test_closed_stdin_exits_two():
+    code, out, err = run_cli(["check", "-"], stdin=None, preexec_fn=lambda: os.close(0))
+    assert (code, out, err) == (2, b"", "error: cannot read -: stdin is closed\n")

@@ -277,6 +277,8 @@ def rejection_doc(change):
      "promises[0].to", "promise 'p' has no promisees"),
     (rejection_doc(lambda d: d["agents"][0]["span"].update(start=9, end=8)),
      "agents[0].span", "agent 'A' span starts beyond its end"),
+    (rejection_doc(lambda d: d["agents"][0]["span"].update(start=-5, end=-1)),
+     "agents[0].span", "agent 'A' span starts before offset 0"),
     (rejection_doc(lambda d: d["promises"][0]["body"].update(topic="")),
      "promises[0].body.topic", "promise 'p' has an empty topic"),
     (rejection_doc(lambda d: d["promises"][0]["body"].update(behalf="A")),
@@ -292,9 +294,9 @@ def rejection_doc(change):
     (b"\xff" + EMPTY_JSON, "$",
      "not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: "
      "invalid start byte"),
-], ids=["empty-members", "empty-to", "span-start-beyond-end", "empty-topic", "self-behalf",
-        "self-imposition", "duplicate-superagent", "null-text", "non-array-section",
-        "non-utf8"])
+], ids=["empty-members", "empty-to", "span-start-beyond-end", "span-start-negative",
+        "empty-topic", "self-behalf", "self-imposition", "duplicate-superagent", "null-text",
+        "non-array-section", "non-utf8"])
 def test_rejection_path_and_reason(blob, path, reason):
     with pytest.raises(JsonError) as exc:
         from_json(blob)

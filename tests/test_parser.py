@@ -23,11 +23,9 @@ from promisegraph.parser import (
     Document,
     _describe,
     _Parser,
-    _Unwind,
     parse,
 )
 from promisegraph.lexer import (
-    TOP_LEVEL_KEYWORDS,
     ParseFailure,
     TokenKind,
     tokenize,
@@ -263,7 +261,7 @@ class ReferenceCursor(_Parser):
             token = self.tokens[self.pos]
             if token.kind is TokenKind.EOF:
                 return
-            if token.kind is TokenKind.KEYWORD and token.text in TOP_LEVEL_KEYWORDS:
+            if token.kind is TokenKind.KEYWORD and token.text in _ITEM_PARSERS:
                 return
             self.pos += 1
 
@@ -285,8 +283,8 @@ def reference_parse(text):
             terminator = parser.raw_peek()
             if terminator.kind not in (TokenKind.NEWLINE, TokenKind.EOF):
                 parser.fail("expected end of statement, found %s" % _describe(terminator))
-        except _Unwind as unwind:
-            errors.append(unwind.error)
+        except ParseFailure as failure:
+            errors.extend(failure.errors)
             parser.recover()
     if errors:
         raise ParseFailure(errors)
