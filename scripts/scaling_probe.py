@@ -9,16 +9,19 @@ deep: n agents and superagents S0 .. S(n-1); each S_i holds S_(i-1), the
 sparse: perfbench's sparse workload, `gen.sparse(seed, n)`, about 250
     bytes of text per promise (n = 4000, 8000, 16000); only `load` is
     timed, so the front end's growth shows.
+dense: perfbench's dense workload, `gen.dense(seed, n)`: n promises in 48
+    twin classes, whose candidate pairs grow as n**2/96 (n = 2400, 4800,
+    9600); `bind` is timed alone as well, and `viewpoint` is not timed.
 
 For each size it prints the median wall time, with the cyclic garbage
-collector off as in the CLI, of `load` (parse, lower, validate),
+collector off as in the CLI, of `load` (parse, lower, validate), `bind`,
 `analyze_all` and `viewpoint` (observer A0). `load` of a deep document
 fails on its cycles by design: it is timed up to that failure, and the two
 other stages run on the graph the parsed records make unvalidated. A stage
 that is linear in its input roughly doubles its time per doubling of n.
 
 Usage: python scripts/scaling_probe.py [--repeats N] [--seed S]
-           [--shape {deep,sparse,wide}]
+           [--shape {deep,dense,sparse,wide}]
 """
 
 from __future__ import annotations
@@ -35,10 +38,11 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from promisegraph import Agent, LowerFailure, Promise, PromiseGraph, Superagent
-from promisegraph import analyze_all, load, parse, viewpoint
+from promisegraph import analyze_all, bind, load, parse, viewpoint
 
 SIZES = {"wide": (500, 1000, 2000), "deep": (2000, 4000, 8000),
-         "sparse": (4000, 8000, 16000)}
+         "sparse": (4000, 8000, 16000), "dense": (2400, 4800, 9600)}
+GENERATED = ("sparse", "dense")  # shapes that perfbench's generators write
 
 
 def promise_lines(count: int, n: int, scope) -> list:
@@ -56,11 +60,11 @@ def promise_lines(count: int, n: int, scope) -> list:
 
 
 def document(shape: str, n: int, seed: int) -> str:
-    if shape == "sparse":
+    if shape in GENERATED:
         sys.path.insert(0, str(ROOT / "perfbench"))
-        import gen  # perfbench's document generators; only this shape needs them
+        import gen  # perfbench's document generators; only these shapes need them
 
-        return gen.sparse(seed, n).text
+        return getattr(gen, shape)(seed, n).text
     lines = ["agent A%d" % i for i in range(n)]
     if shape == "wide":
         lines.append("superagent All { %s }" % ", ".join("A%d" % i for i in range(n)))
@@ -99,22 +103,24 @@ def median_time(call, repeats: int) -> float:
 def main() -> None:
     args = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     args.add_argument("--repeats", type=int, default=5)
-    args.add_argument("--seed", type=int, default=5, help="the sparse documents' seed")
+    args.add_argument("--seed", type=int, default=5, help="the generated documents' seed")
     args.add_argument("--shape", choices=sorted(SIZES), action="append")
     options = args.parse_args()
     print("CPython %s, median of %d" % (platform.python_version(), options.repeats))
-    print("%-6s %6s %9s %9s %14s %12s"
-          % ("shape", "n", "promises", "load_s", "analyze_all_s", "viewpoint_s"))
+    print("%-6s %6s %9s %9s %9s %14s %12s"
+          % ("shape", "n", "promises", "load_s", "bind_s", "analyze_all_s", "viewpoint_s"))
     gc.disable()
-    for shape in options.shape or ("wide", "deep", "sparse"):
+    for shape in options.shape or ("wide", "deep", "sparse", "dense"):
         for n in SIZES[shape]:
             text = document(shape, n, options.seed)
             graph = unvalidated(text)
             row = ["%9.3f" % median_time(lambda: load_or_fail(text), options.repeats)]
             if shape == "sparse":
-                row += ["%14s" % "-", "%12s" % "-"]
+                row += ["%9s" % "-", "%14s" % "-", "%12s" % "-"]
             else:
-                row += ["%14.3f" % median_time(lambda: analyze_all(graph), options.repeats),
+                row += ["%9.3f" % median_time(lambda: bind(graph), options.repeats),
+                        "%14.3f" % median_time(lambda: analyze_all(graph), options.repeats),
+                        "%12s" % "-" if shape == "dense" else
                         "%12.3f" % median_time(lambda: viewpoint(graph, "A0"), options.repeats)]
             print("%-6s %6d %9d %s" % (shape, n, len(graph.promises), " ".join(row)))
             del text, graph

@@ -41,10 +41,11 @@ class Severity(Enum):
 
     @property
     def rank(self) -> int:
-        return _SEVERITY_RANKS[self]
+        return _SEVERITY_RANKS[self._value_]
 
 
-_SEVERITY_RANKS = {Severity.INFO: 1, Severity.WARNING: 2, Severity.VIOLATION: 3}
+# keyed by value: an enum member's hash, like its `value`, runs in Python
+_SEVERITY_RANKS = {"info": 1, "warning": 2, "violation": 3}
 
 
 class Binding(NamedTuple):
@@ -123,51 +124,55 @@ def candidate_pairs(graph: PromiseGraph) -> List[Tuple[int, int]]:
     lexicographically by declaration index: same topic, the accept's
     promiser among the offer's promisees and vice versa, by declared ids."""
     accepts_by_key: Dict[Tuple[str, str, str], List[int]] = {}
-    for ai, accept in enumerate(graph.promises):
-        body = accept.body
+    offers = []
+    for index, promise in enumerate(graph.promises):
+        body = promise.body
         if body.polarity is ACCEPT:
-            for promisee in accept.promisees:
-                key = (body.topic, accept.promiser, promisee)
-                accepts_by_key.setdefault(key, []).append(ai)
+            for promisee in promise.promisees:
+                key = (body.topic, promise.promiser, promisee)
+                accepts_by_key.setdefault(key, []).append(index)
+        else:
+            offers.append((index, body.topic, promise.promiser, promise.promisees))
     pairs: List[Tuple[int, int]] = []
-    for oi, offer in enumerate(graph.promises):
-        body = offer.body
-        if body.polarity is OFFER:
-            found: List[int] = []
-            for promisee in offer.promisees:
-                found.extend(accepts_by_key.get((body.topic, promisee, offer.promiser), ()))
-            pairs.extend((oi, ai) for ai in sorted(found))
+    for oi, topic, promiser, promisees in offers:
+        found: List[int] = []
+        for promisee in promisees:
+            found += accepts_by_key.get((topic, promisee, promiser), ())
+        if found:
+            found.sort()
+            pairs += [(oi, ai) for ai in found]
     return pairs
 
 
-def _augment(start: int, adjacency: Dict[int, List[int]], mate: Dict[int, int],
-             frozen: Set[int]) -> bool:
-    """Search for an alternating path from the unmatched vertex `start` to
-    another unmatched vertex, never entering a frozen one, and flip the
-    path's edges into `mate` when one exists. Offers and accepts share the
-    declaration-index space, so one walk serves both directions."""
-    visited: Set[int] = set()
-    path = [start]  # the vertices on start's side of the bipartition
-    via: List[int] = []  # via[i] joins path[i] to path[i + 1]
-    stack = [iter(adjacency[start])]
+def _augment(start: int, adjacency: Dict[int, List[Tuple[int, int]]], free: List[int],
+             units: List[int]) -> bool:
+    """Search from class `start`, which has a free unit, for a path to a class
+    of the other side with a free unit, and move one unit along it when one
+    exists, so the matching grows by one. The path leaves a class on start's
+    side by any edge, and a class on the other side by an edge that holds a
+    loose unit (matched, not fixed). Offer and accept classes share one
+    index space and `adjacency` lists (neighbour, edge) both ways, so one
+    walk serves both directions."""
+    visited = {start}
+    stack = [iter(adjacency[start])]  # one per class on the path
+    via: List[int] = []  # the path's edges
     while stack:
-        for vertex in stack[-1]:
-            if vertex in visited or vertex in frozen:
+        outward = len(stack) % 2  # the path's last class is on start's side
+        for there, edge in stack[-1]:
+            if there in visited or not (outward or units[edge]):
                 continue
-            visited.add(vertex)
-            via.append(vertex)
-            partner = mate.get(vertex)
-            if partner is None:
-                for left, right in zip(path, via):
-                    mate[left] = right
-                    mate[right] = left
+            visited.add(there)
+            via.append(edge)
+            if outward and free[there]:
+                free[start] -= 1
+                free[there] -= 1
+                for k, edge in enumerate(via):
+                    units[edge] += -1 if k % 2 else 1
                 return True
-            path.append(partner)
-            stack.append(iter(adjacency[partner]))
+            stack.append(iter(adjacency[there]))
             break
         else:
             stack.pop()
-            path.pop()
             if via:
                 via.pop()
     return False
@@ -177,74 +182,104 @@ def bind(graph: PromiseGraph) -> List[Binding]:
     """The maximum offer/accept matching, choosing the lexicographically
     earliest pairs (by declaration order) among equally large matchings.
 
-    One maximum matching is solved up front, by one augmenting search per
-    offer in declaration order (Kuhn's algorithm). The pairs are then walked in
-    order while that matching stays maximum and holds every chosen pair; a
-    pair is chosen when the matching can be repaired to contain it without
-    shrinking, by one alternating path through the vertices not yet fixed.
+    Promises with one (polarity, topic, promiser, promisees) signature are
+    twins, with the same candidate partners, so the matching is solved on
+    the quotient graph: one vertex per twin class, its size its capacity.
+    First a maximum b-matching, a flow of units on class edges: each edge
+    takes what both its ends have free, then each offer class augments.
+    Then the offers are walked in declaration order. An accept class's
+    unfixed members are interchangeable, so each keeps a pointer to its
+    first one, and an offer takes the first class, in pointer order, whose
+    unit can be fixed while the flow stays maximum. An offer that fails
+    every class fails for each later twin too, so its class is dead.
+    Nothing recurses.
     """
-    pairs = candidate_pairs(graph)
-    adjacency: Dict[int, List[int]] = {}
-    for oi, ai in pairs:
-        adjacency.setdefault(oi, []).append(ai)
-        adjacency.setdefault(ai, []).append(oi)
-    mate: Dict[int, int] = {}
-    fixed: Set[int] = set()
-    for oi in dict.fromkeys(oi for oi, _ in pairs):
-        # take the first free accept; search for a path only when none is
-        # free, so twin offers do not search through each other's accepts
-        for ai in adjacency[oi]:
-            if ai not in mate:
-                mate[oi], mate[ai] = ai, oi
-                break
+    promises = graph.promises
+    classes: Dict[tuple, List[int]] = {}  # signature -> members, in declaration order
+    representatives: List[Promise] = []
+    for index, promise in enumerate(promises):
+        body = promise.body
+        signature = (body.polarity is OFFER, body.topic, promise.promiser, promise.promisees)
+        twins = classes.get(signature)
+        if twins is None:
+            classes[signature] = [index]
+            representatives.append(promise)
         else:
-            _augment(oi, adjacency, mate, fixed)
+            twins.append(index)
+    members = list(classes.values())
+    edges = candidate_pairs(graph._replace(promises=tuple(representatives)))
+    adjacency: Dict[int, List[Tuple[int, int]]] = {}
+    free = list(map(len, members))
+    units: List[int] = []  # loose units per edge
+    for edge, (x, y) in enumerate(edges):
+        adjacency.setdefault(x, []).append((y, edge))
+        adjacency.setdefault(y, []).append((x, edge))
+        take = min(free[x], free[y])
+        free[x] -= take
+        free[y] -= take
+        units.append(take)
+    offer_classes = list(dict.fromkeys(x for x, _ in edges))
+    for x in offer_classes:
+        while free[x] and _augment(x, adjacency, free, units):
+            pass
 
-    chosen: List[Tuple[int, int]] = []
-    for oi, ai in pairs:
-        if oi in fixed or ai in fixed:
+    end = len(promises)  # the pointer of an accept class whose members are all fixed
+    queues = {y: iter(members[y]) for _, y in edges}
+    head = {y: next(queue) for y, queue in queues.items()}
+    dead: Set[int] = set()
+    bindings: List[Binding] = []
+    for oi, x in sorted((oi, x) for x in offer_classes for oi in members[x]):
+        if x in dead:
             continue
-        old_accept, old_offer = mate.get(oi), mate.get(ai)
-        if old_accept is None or old_offer is None:
-            # one endpoint is unmatched: swapping the edge in keeps the size
-            mate.pop(old_accept, None)
-            mate.pop(old_offer, None)
-            mate[oi], mate[ai] = ai, oi
-        elif old_accept != ai:
-            # trade two matched edges for (oi, ai); the matching stays
-            # maximum only if a path from a freed vertex augments it
-            del mate[old_accept], mate[old_offer]
-            mate[oi], mate[ai] = ai, oi
-            fixed.update((oi, ai))
-            if not (_augment(old_offer, adjacency, mate, fixed)
-                    or _augment(old_accept, adjacency, mate, fixed)):
-                fixed.difference_update((oi, ai))
-                mate[oi], mate[old_accept] = old_accept, oi
-                mate[ai], mate[old_offer] = old_offer, ai
+        candidates = adjacency[x]
+        if len(candidates) > 1:
+            candidates = sorted(candidates, key=lambda link: head[link[0]])
+        for y, edge in candidates:
+            ai = head[y]
+            if ai == end:
                 continue
-        chosen.append((oi, ai))
-        fixed.update((oi, ai))
-    return [
-        Binding(graph.promises[oi].id, graph.promises[ai].id, graph.promises[oi].body.topic)
-        for oi, ai in chosen
-    ]
+            if units[edge]:  # the pair already holds a loose unit
+                units[edge] -= 1
+            else:  # each end gives up a spare unit, or else a loose one
+                moved = []
+                for side in (x, y):
+                    if free[side]:
+                        free[side] -= 1
+                        continue
+                    partner, freed = next(link for link in adjacency[side] if units[link[1]])
+                    units[freed] -= 1
+                    free[partner] += 1
+                    moved.append((partner, freed))
+                # two loose units lost: a path from a freed class must win one back
+                if len(moved) == 2 and not any(_augment(partner, adjacency, free, units)
+                                               for partner, _ in moved):
+                    for partner, freed in moved:
+                        free[partner] -= 1
+                        units[freed] += 1
+                    continue
+            offer = promises[oi]
+            bindings.append(Binding(offer.id, promises[ai].id, offer.body.topic))
+            head[y] = next(queues[y], end)
+            break
+        else:
+            dead.add(x)
+    return bindings
 
 
 def unbound(graph: PromiseGraph, bindings: Sequence[Binding]) -> List[Finding]:
     """A warning for every promise that found no complementary partner."""
-    by_polarity = {
-        OFFER: (FindingRule.UNBOUND_OFFER, {b.offer for b in bindings},
-                "offer %r of topic %r by %s is not accepted by any promisee"),
-        ACCEPT: (FindingRule.UNBOUND_ACCEPT, {b.accept for b in bindings},
-                 "acceptance %r of topic %r by %s matches no declared offer"),
-    }
+    offers = (FindingRule.UNBOUND_OFFER, {b.offer for b in bindings},
+              "offer %r of topic %r by %s is not accepted by any promisee")
+    accepts = (FindingRule.UNBOUND_ACCEPT, {b.accept for b in bindings},
+               "acceptance %r of topic %r by %s matches no declared offer")
+    warning = Severity.WARNING
     findings: List[Finding] = []
     for promise in graph.promises:
         body = promise.body
-        rule, bound, message = by_polarity[body.polarity]
+        rule, bound, message = offers if body.polarity is OFFER else accepts
         if promise.id not in bound:
             findings.append(Finding(
-                rule, Severity.WARNING, (promise.id, promise.promiser),
+                rule, warning, (promise.id, promise.promiser),
                 message % (promise.id, body.topic, promise.promiser), promise.span))
     return findings
 
@@ -396,7 +431,8 @@ def sort_findings(findings: Sequence[Finding]) -> Tuple[Finding, ...]:
     """Severity first (violations on top), then document position."""
     return tuple(sorted(
         findings,
-        key=lambda f: (-_SEVERITY_RANKS[f.severity], f.span.start, f.rule.value, f.subjects),
+        key=lambda f: (-_SEVERITY_RANKS[f.severity._value_], f.span.start, f.rule._value_,
+                       f.subjects),
     ))
 
 

@@ -34,10 +34,11 @@ from promisegraph.analysis import (
     trust,
     unbound,
 )
+from promisegraph import analysis, corpus
 from promisegraph.lower import load
 from promisegraph.model import ZERO_SPAN, Agent, Body, Polarity, Promise, PromiseGraph
 
-from conftest import AGENT_NAMES, TOPICS, make_random_graph
+from conftest import AGENT_NAMES, TOPICS, load_gen, make_random_graph
 
 
 def brute_force_bind(graph):
@@ -194,6 +195,63 @@ def test_bind_matches_reference_on_twin_heavy_graphs(seed):
                          for p in graph.promises)
     assert max(signatures.values()) >= 2
     assert bind(graph) == reference_bind(graph)
+
+
+def make_large_twin_graph(rng):
+    """One to four complementary signature pairs on one topic, whose offer
+    and accept classes are drawn apart, from 1 to 30 twins each, so one side
+    of a class edge outnumbers the other; widened promisees join classes to
+    more edges. Plus a few one-off promises, all shuffled."""
+    names = AGENT_NAMES[:3]
+    agents = {name: Agent(name) for name in names}
+    topic = TOPICS[0]
+    bodies = []
+    for _ in range(rng.randint(1, 4)):
+        offerer, acceptor = rng.sample(names, 2)
+        offer_to, accept_from = {acceptor}, {offerer}
+        for widened in (offer_to, accept_from):
+            if rng.random() < 0.6:
+                widened.add(rng.choice(names))
+        bodies += [(Polarity.OFFER, topic, offerer, frozenset(offer_to))] * rng.randint(1, 30)
+        bodies += [(Polarity.ACCEPT, topic, acceptor, frozenset(accept_from))] * rng.randint(1, 30)
+    for _ in range(rng.randint(0, 6)):
+        bodies.append((rng.choice(list(Polarity)), topic, rng.choice(names),
+                       frozenset(rng.sample(names, rng.randint(1, 2)))))
+    rng.shuffle(bodies)
+    promises = tuple(Promise("p%d" % i, promiser, promisees, Body(polarity, topic))
+                     for i, (polarity, topic, promiser, promisees) in enumerate(bodies))
+    return PromiseGraph(agents=agents, promises=promises)
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_bind_matches_reference_on_large_twin_classes(seed):
+    graph = make_large_twin_graph(random.Random(seed + 11000))
+    assert bind(graph) == reference_bind(graph)
+
+
+def signature(promise):
+    return (promise.body.polarity, promise.body.topic, promise.promiser, promise.promisees)
+
+
+def test_bind_solves_on_the_quotient(monkeypatch):
+    """bind asks for candidate pairs once, on a graph with one promise per
+    twin signature: 48 on the dense workload, 14 for the corpus's 23."""
+    seen = []
+
+    def spy(graph):
+        seen.append(graph)
+        return candidate_pairs(graph)
+
+    monkeypatch.setattr(analysis, "candidate_pairs", spy)
+    dense = load(load_gen().dense(5).text)
+    case = load(corpus.load_builtin())
+    for graph, classes in ((dense, 48), (case, 14)):
+        seen.clear()
+        bind(graph)
+        assert len(seen) == 1
+        signatures = [signature(promise) for promise in seen[0].promises]
+        assert len(signatures) == len(set(signatures)) == classes
+        assert set(signatures) == {signature(promise) for promise in graph.promises}
 
 
 @pytest.mark.parametrize("seed", range(80))

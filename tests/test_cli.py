@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -15,6 +16,9 @@ from promisegraph.analysis import AnalysisConfig, Severity, TrustParams
 from promisegraph.cli import _build_arg_parser, run
 from promisegraph.export import ReportFormat
 from promisegraph import corpus
+
+from conftest import AOA_TOY, BROKEN_TOY, CLEAN_TOY
+from mutation import mutate
 
 SRC = str(pathlib.Path(promisegraph.__file__).resolve().parents[1])
 CORPUS = pathlib.Path(corpus.__file__).with_name(corpus.CORPUS_FILENAME)
@@ -490,3 +494,25 @@ def test_stdout_takes_any_character_whatever_the_host_encoding(env):
 def test_closed_stdin_exits_two():
     code, out, err = run_cli(["check", "-"], stdin=None, preexec_fn=lambda: os.close(0))
     assert (code, out, err) == (2, b"", "error: cannot read -: stdin is closed\n")
+
+
+MUTANT_SOURCES = [corpus.load_builtin(), CLEAN_TOY, AOA_TOY, BROKEN_TOY]
+MUTANT_COMMANDS = [["check"], ["analyze", "--format", "json"], ["report"], ["trust"],
+                   ["export", "--format", "dot"], ["export", "--viewpoint", "Alice"]]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_the_exit_code_contract_holds_on_mutated_documents(seed):
+    """Every command exits 0, 1 or 2 on a mutated document, never 3; an exit
+    2 writes nothing to stdout and only `error: ` lines to stderr."""
+    rng = random.Random(seed + 13000)
+    for _ in range(50):
+        text = mutate(rng, rng.choice(MUTANT_SOURCES))
+        for argv in MUTANT_COMMANDS:
+            code, out, err = invoke([argv[0], "-", *argv[1:]], text)
+            assert code in (0, 1, 2), (argv, text, err)
+            if code == 2:
+                assert out == "", (argv, text)
+                lines = err.splitlines()
+                assert lines and all(line.startswith("error: ") for line in lines), \
+                    (argv, text, err)
