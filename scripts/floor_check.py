@@ -6,9 +6,11 @@ It runs two checks with the interpreter that runs it:
 - CI's golden steps: `analyze` of the corpus must exit 1 and print
   `golden/report.json` byte for byte, and `export --viewpoint Public
   --format dot` must print `golden/public-view.dot`;
-- a seeded differential: `parse`, with the declaration patterns taking
-  texts of any length, against the token parser alone, on mutated corpus
-  declarations (`tests/mutation.py`). Both must return an equal
+- a seeded differential on mutated corpus declarations
+  (`tests/mutation.py`): `parse` on the token path alone, and `parse` with
+  the declaration patterns taking texts of any length, each against the
+  hand-written token parser that the grammar table replaced
+  (`tests/reference_parser.py`). All three must return an equal
   `Document`, or equal `(message, span)` errors.
 
 Usage: python3.10 scripts/floor_check.py [--documents N] [--seed S]
@@ -30,6 +32,7 @@ SRC = ROOT / "src"
 sys.path[:0] = [str(SRC), str(ROOT / "tests")]
 
 from mutation import mutate  # noqa: E402
+from reference_parser import hand_parse  # noqa: E402
 from promisegraph import corpus, parser, patterns  # noqa: E402
 from promisegraph.lexer import ParseFailure  # noqa: E402
 
@@ -54,9 +57,9 @@ def golden_steps() -> list:
     return failures
 
 
-def outcome(text: str):
+def outcome(text: str, parse=parser.parse):
     try:
-        return parser.parse(text)
+        return parse(text)
     except ParseFailure as failure:
         return [(error.message, error.span) for error in failure.errors]
 
@@ -82,12 +85,13 @@ def main() -> int:
     rejected = differing = 0
     for _ in range(options.documents):
         text = mutate(rng, source)
-        expected = token_path(text)
+        expected = outcome(text, hand_parse)
         rejected += isinstance(expected, list)
-        if outcome(text) != expected:
-            differing += 1
-            print("differs: %r" % text)
-    print("differential: %d documents, %d rejected, %d differ"
+        for path, parse in (("token path", token_path), ("patterns", outcome)):
+            if parse(text) != expected:
+                differing += 1
+                print("%s differs: %r" % (path, text))
+    print("differential: %d documents, %d rejected, %d differences"
           % (options.documents, rejected, differing))
     return 1 if failures or differing else 0
 

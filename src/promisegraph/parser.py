@@ -1,38 +1,51 @@
 """Parser for promise declaration documents.
 
-Each declaration becomes the model record it declares (`Agent`,
-`Superagent`, `Promise`, `Imposition` or `Assessment`), with the clause
-defaults applied and spans covering the statement; `lower` only groups
-the records and validates them. Outside braces and brackets a newline
-ends the current statement; inside them newlines are insignificant, so
-promise bodies can span lines.
+The grammar is one table, `FORMS`: each declaration keyword maps to a
+template, which lists the form's tokens in order, and to the builder that
+makes its model record, with the clause defaults applied and a span
+covering the statement. Outside braces and brackets a newline ends the
+current statement; inside them newlines are insignificant.
 
-`parse` first matches whole declarations from the top of a text of at
-least `PATTERN_MIN_CHARS` characters, with one compiled pattern per form
-(`patterns`). The patterns accept exactly what the token parser here
-accepts without a diagnostic, and build the same records. From the first
-declaration they miss, or from the top of a shorter text, the
-recursive-descent token parser reads the rest (`tokenize(text, *position)`),
-so it owns every diagnostic: on a grammar error it records one and skips
-to the next top-level keyword, so one run reports every broken statement.
-On a long clean document it sees only the end.
+For a text of at least `PATTERN_MIN_CHARS` characters, `parse` first
+matches whole declarations from the top, one compiled pattern per template
+(`patterns`). From the first declaration they miss, or from the top of a
+shorter text, the token parser reads the rest (`tokenize(text,
+*position)`), so it owns every diagnostic: on a grammar error it records
+one and skips to the next top-level keyword. On a long clean document it
+sees only the end.
+
+The token parser runs each template as steps compiled at import, one per
+piece, that expect the piece or report what they found. Three rules go
+beyond that: `POLARITY`'s words are keywords; a required NAMES slot right
+after `[` reports "expected at least one ..." when `]` is next; and an
+optional clause is entered when its keyword or STRING is next, or, for a
+clause that starts with a name list, unless `]` is next.
+
+Both paths give a builder one slot value per slot, in template order: the
+word of a NAME or choice, the source text of a NAMES list (the token
+parser joins the names with `,`), the source text of a STRING literal, or
+None for an omitted clause. A builder returns None, a miss, when a name is
+a keyword, which only a pattern can take.
 """
 
 from __future__ import annotations
 
-from enum import Enum
-from typing import Dict, FrozenSet, List, NamedTuple, Tuple, Union
+from typing import (TYPE_CHECKING, Callable, Collection, Dict, FrozenSet, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 from .lexer import (
     EOF,
     IDENTIFIER,
     KEYWORD,
+    KEYWORDS,
     NEWLINE,
     PUNCTUATION,
     STRING,
     ParseError,
     ParseFailure,
     Token,
+    TokenKind,
+    string_value,
     tokenize,
 )
 from .model import (
@@ -50,19 +63,18 @@ from .model import (
     Verdict,
 )
 
-# each choice clause's words, in the order diagnostics list them
+# each choice slot's words, in the order diagnostics list them
 AGENT_KINDS = {k.value: k for k in AgentKind}
 PROVENANCES = {p.value: p for p in Provenance}
+POLARITIES = {p.value: p for p in Polarity}
 IMPOSITION_KINDS = {k.value: k for k in ImpositionKind}
 VERDICTS = {v.value: v for v in Verdict}
+CHOICES = {"AGENT_KIND": AGENT_KINDS, "PROVENANCE": PROVENANCES, "POLARITY": POLARITIES,
+           "IMPOSITION_KIND": IMPOSITION_KINDS, "VERDICT": VERDICTS}
 
-# module names: a name lookup is several times cheaper than `Polarity.OFFER`
-OFFER, ACCEPT = Polarity
-
-# The clause defaults are the records' own; the declaration patterns'
-# builders use them too. NO_NAMES is shared by every omitted scope and
-# affects clause, and every assessment keeps its default ordinal until
-# `lower` numbers them in source order.
+# The clause defaults are the records' own. NO_NAMES is shared by every
+# omitted scope and affects clause, and every assessment keeps its default
+# ordinal until `lower` numbers them in source order.
 DEFAULT_AGENT_KIND = Agent._field_defaults["kind"]
 DEFAULT_PROVENANCE = Promise._field_defaults["provenance"]
 DEFAULT_IMPOSITION_KIND = Imposition._field_defaults["kind"]
@@ -72,11 +84,91 @@ UNNUMBERED = Assessment._field_defaults["ordinal"]
 
 Item = Union[Agent, Superagent, Promise, Imposition, Assessment]
 
+if TYPE_CHECKING:  # annotations only: building these aliases costs every import
+    Values = Sequence[Optional[str]]
+    Builder = Callable[[SourceSpan, Values], Optional[Item]]
+    # a step reads one piece of a template and appends its slot values
+    _Step = Callable[["_Parser", list], None]
+
 
 class Document(NamedTuple):
     """The declarations of one document, as model records in source order."""
 
     items: Tuple[Item, ...]
+
+
+def _names(listed: Optional[str]) -> FrozenSet[str]:
+    if not listed:  # an omitted clause, or `scope [ ]`
+        return NO_NAMES
+    if "#" in listed:  # a comment runs to the end of its line
+        listed = "".join(line.partition("#")[0] for line in listed.split("\n"))
+    return frozenset(map(str.strip, listed.split(",")))
+
+
+def _agent(span: SourceSpan, values: Values) -> Optional[Agent]:
+    name, kind = values
+    if name in KEYWORDS:
+        return None
+    return Agent(name, AGENT_KINDS.get(kind, DEFAULT_AGENT_KIND), span)
+
+
+def _superagent(span: SourceSpan, values: Values) -> Optional[Superagent]:
+    name, listed = values
+    members = _names(listed)
+    if name in KEYWORDS or not KEYWORDS.isdisjoint(members):
+        return None
+    return Superagent(name, members, span)
+
+
+def _promise(span: SourceSpan, values: Values) -> Optional[Promise]:
+    (name, promiser, listed, scoped, provenance, polarity, topic, text, behalf, affected,
+     condition) = values
+    promisees = _names(listed)
+    scope = _names(scoped)
+    affects = _names(affected)
+    if not KEYWORDS.isdisjoint((name, promiser, topic, behalf, *promisees, *scope, *affects)):
+        return None
+    body = Body(POLARITIES[polarity], topic, string_value(text) if text else NO_TEXT, behalf,
+                affects, None if condition is None else string_value(condition))
+    return Promise(name, promiser, promisees, body, scope,
+                   PROVENANCES.get(provenance, DEFAULT_PROVENANCE), span)
+
+
+def _imposition(span: SourceSpan, values: Values) -> Optional[Imposition]:
+    name, imposer, imposee, kind, text = values
+    if not KEYWORDS.isdisjoint((name, imposer, imposee)):
+        return None
+    return Imposition(name, imposer, imposee, IMPOSITION_KINDS.get(kind, DEFAULT_IMPOSITION_KIND),
+                      string_value(text), span)
+
+
+def _assessment(span: SourceSpan, values: Values) -> Optional[Assessment]:
+    name, assessor, target, verdict, note = values
+    if not KEYWORDS.isdisjoint((name, assessor, target)):
+        return None
+    return Assessment(name, assessor, target, VERDICTS[verdict],
+                      None if note is None else string_value(note), UNNUMBERED, span)
+
+
+# The grammar. Each template lists its form's tokens, with optional
+# clauses written `(?: ... )?`. A slot is a NAME, a comma-separated list
+# of NAMES, a STRING literal or a choice word (a key of CHOICES); after
+# its colon comes the noun its diagnostic uses, with `_` for a space.
+FORMS: Dict[str, Tuple[str, Builder]] = {
+    "agent": ("agent NAME:agent_name (?: kind = AGENT_KIND:agent_kind )?", _agent),
+    "superagent": ("superagent NAME:superagent_name { NAMES:member_name }", _superagent),
+    "promise": ("promise NAME:promise_name from NAME:promiser_name to NAMES:promisee_name"
+                " (?: scope [ (?: NAMES:scope_agent )? ] )?"
+                " (?: provenance = PROVENANCE:provenance )?"
+                " { POLARITY NAME:topic (?: STRING )? (?: behalf NAME:behalf_agent )?"
+                " (?: affects [ NAMES:affected_agent ] )? (?: condition STRING )? }", _promise),
+    "imposition": ("imposition NAME:imposition_name from NAME:imposer_name"
+                   " to NAME:imposee_name (?: kind = IMPOSITION_KIND:imposition_kind )?"
+                   " { STRING }", _imposition),
+    "assessment": ("assessment NAME:assessment_name by NAME:assessor_name"
+                   " on NAME:target_promise_name verdict = VERDICT:verdict (?: note STRING )?",
+                   _assessment),
+}
 
 
 class _Parser:
@@ -113,45 +205,6 @@ class _Parser:
         """Abandon the current statement; the statement loop recovers."""
         raise ParseFailure([ParseError(message, self.peek().span)])
 
-    def match_keyword(self, word: str) -> bool:
-        token = self.peek()
-        if token.kind is KEYWORD and token.text == word:
-            self.advance()
-            return True
-        return False
-
-    def expect_keyword(self, word: str) -> Token:
-        token = self.peek()
-        if token.kind is not KEYWORD or token.text != word:
-            self.fail("expected keyword %r, found %s" % (word, _describe(token)))
-        return self.advance()
-
-    def expect_ident(self, what: str) -> Token:
-        token = self.peek()
-        if token.kind is not IDENTIFIER:
-            self.fail("expected %s, found %s" % (what, _describe(token)))
-        return self.advance()
-
-    def expect_punct(self, char: str) -> Token:
-        token = self.peek()
-        if token.kind is not PUNCTUATION or token.text != char:
-            self.fail("expected %r, found %s" % (char, _describe(token)))
-        return self.advance()
-
-    def expect_string(self) -> Token:
-        token = self.peek()
-        if token.kind is not STRING:
-            self.fail("expected string literal, found %s" % _describe(token))
-        return self.advance()
-
-    def expect_choice(self, allowed: Dict[str, Enum], what: str) -> Enum:
-        token = self.expect_ident(what)
-        if token.text not in allowed:
-            raise ParseFailure([ParseError(
-                "expected %s (one of %s), found %r" % (what, ", ".join(allowed), token.text),
-                token.span)])
-        return allowed[token.text]
-
     def recover(self) -> None:
         """Skip to the next declaration keyword (or EOF)."""
         self.depth = 0
@@ -161,7 +214,7 @@ class _Parser:
             token = self.tokens[self.pos]
             if token.kind is EOF:
                 return
-            if token.kind is KEYWORD and token.text in _ITEM_PARSERS:
+            if token.kind is KEYWORD and token.text in FORMS:
                 return
             self.pos += 1
 
@@ -174,136 +227,106 @@ def _describe(token: Token) -> str:
     return "%s %r" % (token.kind.value, token.text)
 
 
-def _span_between(start: Token, end: Token) -> SourceSpan:
-    return SourceSpan(start.start, end.end, start.line, start.column)
+def _steps(pieces: List[str]) -> Tuple[List[_Step], int]:
+    """Take the pieces up to the `)?` that closes them; return their steps
+    and how many slot values those give."""
+    steps, slots, before = [], 0, None
+    while pieces and (piece := pieces.pop(0)) != ")?":
+        if piece == "(?:":
+            step, count = _optional(pieces[0], *_steps(pieces))
+        else:
+            step, count = _piece(piece, before)
+        steps.append(step)
+        slots += count
+        before = piece
+    return steps, slots
 
 
-def _ident_list(parser: _Parser, what: str) -> List[str]:
-    names = [parser.expect_ident(what).text]
-    while parser.peek().kind is PUNCTUATION and parser.peek().text == ",":
+def _optional(first: str, steps: List[_Step], slots: int) -> Tuple[_Step, int]:
+    """A step that runs the clause's steps when the clause starts next, and
+    otherwise gives None for each of its slots."""
+    omitted = (None,) * slots
+    if first in KEYWORDS:
+        kind, word, entered = KEYWORD, first, True
+    elif first == "STRING":
+        kind, word, entered = STRING, None, True
+    else:  # a name list, as in `scope [ ]`
+        kind, word, entered = PUNCTUATION, "]", False
+
+    def step(parser: _Parser, values: list) -> None:
+        token = parser.tokens[parser.pos]
+        if (token.kind is kind and (word is None or token.text == word)) is entered:
+            for read in steps:
+                read(parser, values)
+        else:
+            values.extend(omitted)
+    return step, slots
+
+
+def _expect(kind: TokenKind, words: Optional[Collection[str]], what: str, slot: bool,
+            unknown: str = "") -> _Step:
+    """A step that takes a token of this kind, and one of `words` if they are
+    given; it keeps the token's text as a slot value if `slot`. `unknown`, if
+    given, is the message for a token of this kind that is not one of `words`."""
+    def step(parser: _Parser, values: list) -> None:
+        token = parser.tokens[parser.pos]
+        if token.kind is not kind or words is not None and token.text not in words:
+            parser.fail(unknown % token.text if unknown and token.kind is kind
+                        else "expected %s, found %s" % (what, _describe(token)))
         parser.advance()
-        names.append(parser.expect_ident(what).text)
-    return names
+        if slot:
+            values.append(token.text)
+    return step
 
 
-def _parse_agent(parser: _Parser) -> Agent:
-    start = parser.expect_keyword("agent")
-    name = parser.expect_ident("agent name")
-    kind = DEFAULT_AGENT_KIND
-    if parser.match_keyword("kind"):
-        parser.expect_punct("=")
-        kind = parser.expect_choice(AGENT_KINDS, "agent kind")
-    return Agent(name.text, kind, _span_between(start, parser.last))
+def _piece(piece: str, before: Optional[str]) -> Tuple[_Step, int]:
+    """The step that reads one piece, and how many slot values it gives."""
+    if piece in KEYWORDS:
+        return _expect(KEYWORD, (piece,), "keyword %r" % piece, False), 0
+    if piece in "={}[],":
+        return _expect(PUNCTUATION, (piece,), repr(piece), False), 0
+    if piece == "STRING":
+        return _expect(STRING, None, "string literal", True), 1
+    kind, _, label = piece.partition(":")
+    words = CHOICES.get(kind)
+    if words and KEYWORDS.issuperset(words):
+        return _expect(KEYWORD, words, "keyword " + " or ".join(map(repr, words)), True), 1
+    what = label.replace("_", " ")
+    if words:
+        unknown = "expected %s (one of %s), found %%r" % (what, ", ".join(words))
+        return _expect(IDENTIFIER, words, what, True, unknown), 1
+    name = _expect(IDENTIFIER, None, what, True)
+    if kind == "NAME":
+        return name, 1
 
-
-def _parse_superagent(parser: _Parser) -> Superagent:
-    start = parser.expect_keyword("superagent")
-    name = parser.expect_ident("superagent name")
-    parser.expect_punct("{")
-    members = _ident_list(parser, "member name")
-    parser.expect_punct("}")
-    return Superagent(name.text, frozenset(members), _span_between(start, parser.last))
-
-
-def _parse_bracket_list(parser: _Parser, what: str, allow_empty: bool) -> FrozenSet[str]:
-    parser.expect_punct("[")
-    closing = parser.peek()
-    if closing.kind is PUNCTUATION and closing.text == "]":
-        if not allow_empty:
+    def names(parser: _Parser, values: list) -> None:
+        token = parser.tokens[parser.pos]
+        if before == "[" and token.kind is PUNCTUATION and token.text == "]":
             parser.fail("expected at least one %s" % what)
-        parser.advance()
-        return NO_NAMES
-    names = _ident_list(parser, what)
-    parser.expect_punct("]")
-    return frozenset(names)
+        listed: list = []
+        name(parser, listed)
+        while (token := parser.tokens[parser.pos]).kind is PUNCTUATION and token.text == ",":
+            parser.advance()
+            name(parser, listed)
+        values.append(",".join(listed))
+    return names, 1
 
 
-def _parse_body(parser: _Parser) -> Body:
-    if parser.match_keyword("offer"):
-        polarity = OFFER
-    elif parser.match_keyword("accept"):
-        polarity = ACCEPT
-    else:
-        parser.fail("expected keyword 'offer' or 'accept', found %s" % _describe(parser.peek()))
-    topic = parser.expect_ident("topic")
-    text = NO_TEXT
-    if parser.peek().kind is STRING:
-        text = parser.advance().value
-    behalf = None
-    if parser.match_keyword("behalf"):
-        behalf = parser.expect_ident("behalf agent").text
-    affects = NO_NAMES
-    if parser.match_keyword("affects"):
-        affects = _parse_bracket_list(parser, "affected agent", allow_empty=False)
-    condition = None
-    if parser.match_keyword("condition"):
-        condition = parser.expect_string().value
-    return Body(polarity, topic.text, text, behalf, affects, condition)
+def _reader(template: str, build: Builder) -> Callable[[_Parser], Item]:
+    steps, _ = _steps(template.split())
+
+    def read(parser: _Parser) -> Item:
+        start = parser.tokens[parser.pos]
+        values: List[Optional[str]] = []
+        for step in steps:
+            step(parser, values)
+        end = parser.last
+        # never None: the token parser takes no keyword as a name
+        return build(SourceSpan(start.start, end.end, start.line, start.column), values)
+    return read
 
 
-def _parse_promise(parser: _Parser) -> Promise:
-    start = parser.expect_keyword("promise")
-    name = parser.expect_ident("promise name")
-    parser.expect_keyword("from")
-    promiser = parser.expect_ident("promiser name")
-    parser.expect_keyword("to")
-    promisees = _ident_list(parser, "promisee name")
-    scope = NO_NAMES
-    if parser.match_keyword("scope"):
-        scope = _parse_bracket_list(parser, "scope agent", allow_empty=True)
-    provenance = DEFAULT_PROVENANCE
-    if parser.match_keyword("provenance"):
-        parser.expect_punct("=")
-        provenance = parser.expect_choice(PROVENANCES, "provenance")
-    parser.expect_punct("{")
-    body = _parse_body(parser)
-    parser.expect_punct("}")
-    return Promise(name.text, promiser.text, frozenset(promisees), body, scope, provenance,
-                   _span_between(start, parser.last))
-
-
-def _parse_imposition(parser: _Parser) -> Imposition:
-    start = parser.expect_keyword("imposition")
-    name = parser.expect_ident("imposition name")
-    parser.expect_keyword("from")
-    imposer = parser.expect_ident("imposer name")
-    parser.expect_keyword("to")
-    imposee = parser.expect_ident("imposee name")
-    kind = DEFAULT_IMPOSITION_KIND
-    if parser.match_keyword("kind"):
-        parser.expect_punct("=")
-        kind = parser.expect_choice(IMPOSITION_KINDS, "imposition kind")
-    parser.expect_punct("{")
-    text = parser.expect_string().value
-    parser.expect_punct("}")
-    return Imposition(name.text, imposer.text, imposee.text, kind, text,
-                      _span_between(start, parser.last))
-
-
-def _parse_assessment(parser: _Parser) -> Assessment:
-    start = parser.expect_keyword("assessment")
-    name = parser.expect_ident("assessment name")
-    parser.expect_keyword("by")
-    assessor = parser.expect_ident("assessor name")
-    parser.expect_keyword("on")
-    target = parser.expect_ident("target promise name")
-    parser.expect_keyword("verdict")
-    parser.expect_punct("=")
-    verdict = parser.expect_choice(VERDICTS, "verdict")
-    note = None
-    if parser.match_keyword("note"):
-        note = parser.expect_string().value
-    return Assessment(name.text, assessor.text, target.text, verdict, note, UNNUMBERED,
-                      _span_between(start, parser.last))
-
-
-_ITEM_PARSERS = {
-    "agent": _parse_agent,
-    "superagent": _parse_superagent,
-    "promise": _parse_promise,
-    "imposition": _parse_imposition,
-    "assessment": _parse_assessment,
-}
+_READERS = {keyword: _reader(*form) for keyword, form in FORMS.items()}
 
 
 # Below this many characters the token parser reads the whole text.
@@ -330,9 +353,9 @@ def parse(text: str) -> Document:
         if token.kind is EOF:
             break
         try:
-            if token.kind is not KEYWORD or token.text not in _ITEM_PARSERS:
+            if token.kind is not KEYWORD or token.text not in _READERS:
                 parser.fail("expected a declaration, found %s" % _describe(token))
-            items.append(_ITEM_PARSERS[token.text](parser))
+            items.append(_READERS[token.text](parser))
             terminator = parser.peek()
             if terminator.kind not in (NEWLINE, EOF):
                 parser.fail("expected end of statement, found %s" % _describe(terminator))

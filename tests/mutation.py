@@ -1,8 +1,9 @@
 """Mutated documents for differential tests. This module does not import
 pytest, so scripts can use it too (`scripts/floor_check.py`)."""
 
-from promisegraph.lexer import KEYWORDS, tokenize
-from promisegraph.parser import _ITEM_PARSERS
+from promisegraph.lexer import IDENTIFIER, KEYWORDS, tokenize
+
+from reference_parser import _ITEM_PARSERS
 
 INSERTIONS = [["{", "}", "[", "]"], [",", "="], ["\n"], sorted(KEYWORDS),
               ['"text"', '""']]
@@ -27,3 +28,16 @@ def mutate(rng, source):
             at = rng.choice(starts)
             text = text[:at] + " %s " % rng.choice(rng.choice(INSERTIONS)) + text[at:]
     return text
+
+
+def swap_names(rng, source):
+    """The whole of `source`, with 1-3 identifier tokens each replaced by
+    another identifier of the same document, so that most declarations
+    stay whole and some documents still load."""
+    found = [token for token in tokenize(source) if token.kind is IDENTIFIER]
+    words = sorted({token.text for token in found})
+    chosen = rng.sample(found, rng.randint(1, 3))
+    for token in sorted(chosen, key=lambda token: token.start, reverse=True):
+        other = rng.choice([word for word in words if word != token.text])
+        source = source[:token.start] + other + source[token.end:]
+    return source

@@ -2,8 +2,9 @@
 
 `parse` matches whole declarations with one pattern each and hands the
 text from the first miss to the token parser. Every outcome, records,
-spans and diagnostics alike, must equal the token path run over the whole
-text (`reference_parse`). `parse` leaves a text shorter than
+spans and diagnostics alike, must equal the hand-written token parser's
+over the whole text (`reference_parse`, on `tests/reference_parser.py`),
+which the grammar table replaced. `parse` leaves a text shorter than
 `PATTERN_MIN_CHARS` to the token parser alone; here the patterns take
 every non-empty text.
 """
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import promisegraph
-from promisegraph import corpus, parser
+from promisegraph import corpus, parser, patterns
 from promisegraph.lexer import KEYWORDS, ParseFailure, tokenize
 from promisegraph.parser import (
     AGENT_KINDS,
@@ -134,6 +135,16 @@ def test_a_keyword_in_any_name_slot_is_a_miss(template):
             assert pattern_reach(text) == "none", text
             assert isinstance(parse_outcome(reference_parse, text), list), text
             assert parse_outcome(parse, text) == parse_outcome(reference_parse, text), text
+
+
+@pytest.mark.parametrize("keyword", sorted(parser.FORMS))
+def test_a_pattern_has_one_group_per_slot_the_token_parser_reads(keyword):
+    """Both paths hand the builder the same number of slot values: the
+    pattern's groups, less its end marker, and the interpreter's slots."""
+    template, build = parser.FORMS[keyword]
+    pattern, pattern_build = patterns._FORMS[keyword[:2]]
+    assert pattern_build is build
+    assert pattern.groups - 1 == parser._steps(template.split())[1]
 
 
 def test_only_a_text_of_pattern_min_chars_goes_to_the_patterns(monkeypatch):

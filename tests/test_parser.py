@@ -19,10 +19,8 @@ from promisegraph.model import (
     Verdict,
 )
 from promisegraph.parser import (
-    _ITEM_PARSERS,
     Document,
     _describe,
-    _Parser,
     parse,
 )
 from promisegraph.lexer import (
@@ -33,6 +31,7 @@ from promisegraph.lexer import (
 
 from conftest import AOA_TOY, BROKEN_TOY, CLEAN_TOY
 from mutation import mutate
+from reference_parser import _ITEM_PARSERS, _Parser
 
 
 def only_item(source):
