@@ -156,13 +156,6 @@ def _opt_string(value: object, path: str) -> Optional[str]:
     return None if value is None else _string(value, path)
 
 
-def _names(value: object, path: str) -> FrozenSet[str]:
-    items = _array(value, path)
-    for i, item in enumerate(items):
-        _string(item, "%s[%d]" % (path, i))
-    return frozenset(items)
-
-
 def _enum(enum_type: Type[Enum]) -> _Reader:
     members = {member.value: member for member in enum_type}
 
@@ -195,11 +188,17 @@ class _Object:
                              for key, argument, read, suffix in self.fields})
 
 
-def _tuple_of(read: _Reader) -> _Reader:
-    def read_tuple(value: object, path: str) -> tuple:
-        return tuple(read(item, "%s[%d]" % (path, i))
-                     for i, item in enumerate(_array(value, path)))
-    return read_tuple
+def _array_of(read: _Reader, into: Callable[..., object] = tuple) -> _Reader:
+    """Reads an array into a tuple, or `into`, reading item i at path `[i]`."""
+    def read_array(value: object, path: str) -> object:
+        items = []  # a loop: on a short name list a comprehension's frame costs a third more
+        for i, item in enumerate(_array(value, path)):
+            items.append(read(item, "%s[%d]" % (path, i)))
+        return into(items)
+    return read_array
+
+
+_names = _array_of(_string, frozenset)
 
 
 def _by_id(kind: str, read: _Reader) -> _Reader:
@@ -230,15 +229,15 @@ _GRAPH = _Object(
     ("superagents", "superagents", _by_id("superagent", _Object(
         Superagent, ("id", "id", _string), ("members", "members", _names),
         ("span", "span", _SPAN)))),
-    ("promises", "promises", _tuple_of(_Object(
+    ("promises", "promises", _array_of(_Object(
         Promise, ("id", "id", _string), ("from", "promiser", _string), ("to", "promisees", _names),
         ("scope", "scope", _names), ("provenance", "provenance", _enum(Provenance)),
         ("body", "body", _BODY), ("span", "span", _SPAN)))),
-    ("impositions", "impositions", _tuple_of(_Object(
+    ("impositions", "impositions", _array_of(_Object(
         Imposition, ("id", "id", _string), ("from", "imposer", _string),
         ("to", "imposee", _string), ("kind", "kind", _enum(ImpositionKind)),
         ("text", "text", _string), ("span", "span", _SPAN)))),
-    ("assessments", "assessments", _tuple_of(_Object(
+    ("assessments", "assessments", _array_of(_Object(
         Assessment, ("id", "id", _string), ("by", "assessor", _string),
         ("on", "target", _string), ("verdict", "verdict", _enum(Verdict)),
         ("note", "note", _opt_string), ("ordinal", "ordinal", _integer),
@@ -330,11 +329,9 @@ def to_dot(graph: PromiseGraph) -> str:
     if not graph.agents and not graph.superagents and not graph.promises:
         return "digraph promises {}\n"
 
-    owner: Dict[str, str] = {}
-    for superagent in graph.superagents.values():
-        for member in superagent.members:
-            owner.setdefault(member, superagent.id)
-    # cluster contents by owner (None: top level), each in declaration order
+    # cluster contents in declaration order; a name's cluster is the first
+    # superagent that lists it (None: top level)
+    owner = {member: listed[0] for member, listed in _Watchers(graph).parents.items()}
     agents_of: Dict[Optional[str], List[Agent]] = {}
     for name, agent in graph.agents.items():
         agents_of.setdefault(owner.get(name), []).append(agent)

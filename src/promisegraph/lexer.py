@@ -39,8 +39,6 @@ _TOKEN_RE = re.compile(
     BLANKS + "(?:" + COMMENT + r")?(?:(?P<newline>\n)|(?P<punctuation>[={}\[\],])"
     r"|(?P<string>" + STRING_LITERAL + ")|(?P<word>" + WORD + "))")
 _TRAILING_RE = re.compile(BLANKS + "(?:" + COMMENT + ")?")
-_STRING_PREFIX_RE = re.compile(_STRING_PREFIX)
-_ESCAPE_RE = re.compile(r'\\(["\\])')
 
 
 class TokenKind(Enum):
@@ -77,8 +75,8 @@ class Token(NamedTuple):
 def string_value(literal: str) -> str:
     """The unescaped content of a string literal's source text."""
     body = literal[1:-1]
-    # every escape starts with a backslash
-    return _ESCAPE_RE.sub(r"\1", body) if "\\" in body else body
+    # every escape starts with a backslash; `re` compiles the pattern on first use
+    return re.sub(r'\\(["\\])', r"\1", body) if "\\" in body else body
 
 
 class ParseError(NamedTuple):
@@ -105,7 +103,7 @@ _GROUP_KINDS = {"newline": NEWLINE, "punctuation": PUNCTUATION, "string": STRING
 def _lex_error(text: str, pos: int, line: int, column: int) -> ParseFailure:
     """The error for the text at `pos`, where no token matches."""
     if text[pos] == '"':
-        end = _STRING_PREFIX_RE.match(text, pos).end()
+        end = re.compile(_STRING_PREFIX).match(text, pos).end()  # `re` caches it
         if end < len(text) and text[end] == "\\":
             message, end = "illegal escape sequence in string literal", end + 1
         else:

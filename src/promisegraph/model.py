@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cached_property
-from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Set, Tuple, Union
 
 
@@ -140,9 +139,8 @@ class StructuralError(NamedTuple):
 
 
 class _GraphFields(NamedTuple):
-    # an omitted section's default is shared, so it is a read-only mapping
-    agents: Mapping[str, Agent] = MappingProxyType({})
-    superagents: Mapping[str, Superagent] = MappingProxyType({})
+    agents: Mapping[str, Agent]
+    superagents: Mapping[str, Superagent]
     promises: Tuple[Promise, ...] = ()
     impositions: Tuple[Imposition, ...] = ()
     assessments: Tuple[Assessment, ...] = ()
@@ -151,6 +149,12 @@ class _GraphFields(NamedTuple):
 class PromiseGraph(_GraphFields):
     """Unlike its `NamedTuple` base it has a `__dict__`, for the promise
     index; `_replace` builds a new graph, with no index yet."""
+
+    def __new__(cls, agents: Optional[Mapping[str, Agent]] = None,
+                superagents: Optional[Mapping[str, Superagent]] = None, *rest, **named):
+        # an omitted section gets an empty dict of its own, which copies and pickles
+        return super().__new__(cls, {} if agents is None else agents,
+                               {} if superagents is None else superagents, *rest, **named)
 
     @cached_property
     def _promise_index(self) -> Dict[str, Promise]:

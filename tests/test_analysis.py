@@ -1,14 +1,17 @@
 """Binding, findings rules, census, and the trust engine.
 
 bind() is checked against a brute-force matcher: enumerate every matching
-over the candidate pairs, keep the largest, break ties by the earliest
-declaration indices. The production code must agree exactly. On graphs too
-large for brute force, bind() and candidate_pairs() are checked against
-independent references: the quadratic greedy that re-solves the matching
-for every pair, and an all-pairs compatibility filter.
+over the pairs of an all-pairs compatibility filter, keep the largest,
+break ties by the earliest declaration indices. The production code must
+agree exactly. On graphs too large for brute force, bind() and
+candidate_pairs() are checked against independent references: the
+quadratic greedy that re-solves the matching for every pair, and the same
+all-pairs filter.
 """
 
+import pathlib
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -41,9 +44,24 @@ from promisegraph.model import ZERO_SPAN, Agent, Body, Polarity, Promise, Promis
 from conftest import AGENT_NAMES, TOPICS, load_gen, make_random_graph
 
 
+def naive_candidate_pairs(graph):
+    """Every (offer, accept) index pair tested against every other."""
+    return [
+        (oi, ai)
+        for oi, offer in enumerate(graph.promises)
+        for ai, accept in enumerate(graph.promises)
+        if offer.body.polarity is Polarity.OFFER
+        and accept.body.polarity is Polarity.ACCEPT
+        and offer.body.topic == accept.body.topic
+        and accept.promiser in offer.promisees
+        and offer.promiser in accept.promisees
+    ]
+
+
 def brute_force_bind(graph):
-    """Exhaustive maximum matching with the earliest-first tie rule."""
-    pairs = candidate_pairs(graph)
+    """Exhaustive maximum matching with the earliest-first tie rule, over
+    the all-pairs filter's pairs, so it shares no code with bind()."""
+    pairs = naive_candidate_pairs(graph)
     n = len(pairs)
     best = {"key": None, "taken": ()}
 
@@ -77,20 +95,6 @@ def test_bind_matches_brute_force(seed):
     rng = random.Random(seed)
     graph = make_random_graph(rng, max_promises=8)
     assert bind(graph) == brute_force_bind(graph)
-
-
-def naive_candidate_pairs(graph):
-    """Every (offer, accept) index pair tested against every other."""
-    return [
-        (oi, ai)
-        for oi, offer in enumerate(graph.promises)
-        for ai, accept in enumerate(graph.promises)
-        if offer.body.polarity is Polarity.OFFER
-        and accept.body.polarity is Polarity.ACCEPT
-        and offer.body.topic == accept.body.topic
-        and accept.promiser in offer.promisees
-        and offer.promiser in accept.promisees
-    ]
 
 
 def max_matching_size(pairs):
@@ -623,3 +627,22 @@ def test_analyze_all_wires_quorum_through():
     strict = analyze_all(graph, AnalysisConfig(quorum=3))
     assert [f for f in strict.findings
             if f.rule is FindingRule.SINGLE_SOURCE_ACCEPTANCE]
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_the_readme_rule_table_names_the_severity_each_rule_gets():
+    """The corpus fires every rule but `unbound-accept` (so do the toys),
+    which a lone acceptance adds; each rule gets one severity on these two
+    documents, the one its row in README's "What the analyzer checks"
+    table names."""
+    table = README.read_text(encoding="utf-8").split("## What the analyzer checks")[1]
+    rows = re.findall(r"^\| `([a-z-]+)` \| ([a-z]+) \|", table.split("\n\n")[1], re.M)
+    severities = {}
+    lone_accept = "agent A\nagent B\npromise take from B to A { accept t }\n"
+    for source in (corpus.load_builtin(), lone_accept):
+        for finding in analyze_all(load(source)).findings:
+            severities.setdefault(finding.rule.value, set()).add(finding.severity.value)
+    assert sorted(severities) == sorted(rule.value for rule in FindingRule)
+    assert {rule: {severity} for rule, severity in rows} == severities

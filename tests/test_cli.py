@@ -15,6 +15,7 @@ import promisegraph
 from promisegraph.analysis import AnalysisConfig, Severity, TrustParams
 from promisegraph.cli import _build_arg_parser, run
 from promisegraph.export import ReportFormat
+from promisegraph.lexer import IDENTIFIER, KEYWORD, ParseFailure, tokenize
 from promisegraph import corpus
 
 from conftest import AOA_TOY, BROKEN_TOY, CLEAN_TOY
@@ -498,7 +499,19 @@ def test_closed_stdin_exits_two():
 
 MUTANT_SOURCES = [corpus.load_builtin(), CLEAN_TOY, AOA_TOY, BROKEN_TOY]
 MUTANT_COMMANDS = [["check"], ["analyze", "--format", "json"], ["report"], ["trust"],
-                   ["export", "--format", "dot"], ["export", "--viewpoint", "Alice"]]
+                   ["export", "--format", "dot"]]
+
+
+def first_agent(text):
+    """The name of the document's first `agent` declaration, read from its
+    tokens, or `Alice` when there is none to read."""
+    try:
+        tokens = tokenize(text)
+    except ParseFailure:
+        return "Alice"
+    return next((name.text for keyword, name in zip(tokens, tokens[1:])
+                 if keyword.kind is KEYWORD and keyword.text == "agent"
+                 and name.kind is IDENTIFIER), "Alice")
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -507,14 +520,19 @@ def test_the_exit_code_contract_holds_on_mutated_documents(seed):
     2 writes nothing to stdout and only `error: ` lines to stderr. The
     documents with swapped names are drawn from the sources that load as
     they stand, and at least one in ten of them still loads, so analysis and
-    rendering run on near-valid input too."""
+    rendering run on near-valid input too. The viewpoint is an agent the
+    document declares, so every document that loads is rendered from it."""
     rng = random.Random(seed + 13000)
     mutated = [mutate(rng, rng.choice(MUTANT_SOURCES)) for _ in range(50)]
     swapped = [swap_names(rng, rng.choice(MUTANT_SOURCES[:3])) for _ in range(50)]
     for text in mutated + swapped:
-        for argv in MUTANT_COMMANDS:
+        for argv in MUTANT_COMMANDS + [["export", "--viewpoint", first_agent(text)]]:
             code, out, err = invoke([argv[0], "-", *argv[1:]], text)
             assert code in (0, 1, 2), (argv, text, err)
+            if argv == ["check"]:
+                loads = code == 0
+            elif "--viewpoint" in argv and loads:
+                assert code == 0, (argv, text, err)
             if code == 2:
                 assert out == "", (argv, text)
                 lines = err.splitlines()

@@ -1,7 +1,12 @@
-"""Graph invariants: expansion, visibility, and structural validation."""
+"""Graph invariants: expansion, visibility, structural validation, and copies."""
+
+import copy
+import pickle
 
 import pytest
 
+from promisegraph import corpus
+from promisegraph.lower import load
 from promisegraph.model import (
     Agent,
     AgentKind,
@@ -179,6 +184,34 @@ def test_visible_to_unknown_promise_raises():
 
 def test_validate_accepts_the_empty_graph():
     assert validate(PromiseGraph()) == []
+
+
+def hand_built_graph():
+    body = Body(Polarity.OFFER, "t", affects=frozenset({"B"}))
+    promise = Promise("p", "A", frozenset({"G"}), body, span=SourceSpan(0, 5, 1, 1))
+    graph = PromiseGraph(agents=agents("A", "B"),
+                         superagents={"G": Superagent("G", frozenset({"B"}))},
+                         promises=(promise,))
+    graph.promise_by_id("p")  # the cached index is copied too
+    return graph
+
+
+@pytest.mark.parametrize("make", [PromiseGraph, hand_built_graph,
+                                  lambda: load(corpus.load_builtin())],
+                         ids=["default", "hand-built", "corpus"])
+def test_graphs_pickle_and_deepcopy(make):
+    graph = make()
+    for twin in (pickle.loads(pickle.dumps(graph)), copy.deepcopy(graph)):
+        assert type(twin) is PromiseGraph
+        assert twin == graph
+        assert [twin.promise_by_id(p.id) for p in twin.promises] == list(graph.promises)
+
+
+def test_default_graphs_share_no_mapping():
+    first, second = PromiseGraph(), PromiseGraph(promises=())
+    assert first.agents == second.agents == {}
+    assert first.agents is not second.agents
+    assert first.superagents is not second.superagents
 
 
 def test_validate_unresolved_references():

@@ -19,11 +19,14 @@ from promisegraph.model import (
     Verdict,
 )
 from promisegraph.parser import (
+    FORMS,
+    POLARITIES,
     Document,
     _describe,
     parse,
 )
 from promisegraph.lexer import (
+    KEYWORDS,
     ParseFailure,
     TokenKind,
     tokenize,
@@ -38,6 +41,14 @@ def only_item(source):
     document = parse(source)
     assert len(document.items) == 1
     return document.items[0]
+
+
+def test_the_keywords_are_the_grammar_words_and_the_polarities():
+    """A template's lower-case pieces are the words it expects; one missing
+    from KEYWORDS would be read as a name slot, and nothing else would say so."""
+    words = {piece for template, _ in FORMS.values() for piece in template.split()
+             if piece.islower()}
+    assert KEYWORDS == words | set(POLARITIES)
 
 
 def test_agent_minimal():
