@@ -2,7 +2,7 @@
 """Check an interpreter that has neither pytest nor hypothesis, such as the
 CPython 3.10 floor that `requires-python` names.
 
-It runs two checks with the interpreter that runs it:
+It runs three checks with the interpreter that runs it:
 - CI's golden steps: `analyze` of the corpus must exit 1 and print
   `golden/report.json` byte for byte, and `export --viewpoint Public
   --format dot` must print `golden/public-view.dot`;
@@ -11,9 +11,13 @@ It runs two checks with the interpreter that runs it:
   the declaration patterns taking texts of any length, each against the
   hand-written token parser that the grammar table replaced
   (`tests/reference_parser.py`). All three must return an equal
-  `Document`, or equal `(message, span)` errors.
+  `Document`, or equal `(message, span)` errors;
+- a seeded differential on broken graphs (`tests/reference_validate.py`):
+  `validate` against the validator it replaced must give equal errors, in
+  equal order, with equal locators, and `from_json` must report the same
+  first error at the same path.
 
-Usage: python3.10 scripts/floor_check.py [--documents N] [--seed S]
+Usage: python3.10 scripts/floor_check.py [--documents N] [--graphs N] [--seed S]
 """
 
 from __future__ import annotations
@@ -33,8 +37,11 @@ sys.path[:0] = [str(SRC), str(ROOT / "tests")]
 
 from mutation import mutate  # noqa: E402
 from reference_parser import hand_parse  # noqa: E402
+from reference_validate import (broken_graph, json_outcome, reference_json_outcome,  # noqa: E402
+                                reference_validate)
 from promisegraph import corpus, parser, patterns  # noqa: E402
 from promisegraph.lexer import ParseFailure  # noqa: E402
+from promisegraph.model import validate  # noqa: E402
 
 CORPUS = pathlib.Path(corpus.__file__).with_name(corpus.CORPUS_FILENAME)
 GOLDEN = CORPUS.with_name("golden")
@@ -73,6 +80,7 @@ def token_path(text: str):
 def main() -> int:
     args = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     args.add_argument("--documents", type=int, default=5000)
+    args.add_argument("--graphs", type=int, default=3000)
     args.add_argument("--seed", type=int, default=20261018)
     options = args.parse_args()
     print("CPython %s" % platform.python_version())
@@ -93,7 +101,19 @@ def main() -> int:
                 print("%s differs: %r" % (path, text))
     print("differential: %d documents, %d rejected, %d differences"
           % (options.documents, rejected, differing))
-    return 1 if failures or differing else 0
+
+    rng = random.Random(options.seed)
+    broken = wrong = 0
+    for _ in range(options.graphs):
+        graph = broken_graph(rng)
+        expected = reference_validate(graph)
+        broken += bool(expected)
+        if validate(graph) != expected or json_outcome(graph) != reference_json_outcome(graph):
+            wrong += 1
+            print("validate differs: %r" % (graph,))
+    print("validate differential: %d graphs, %d broken, %d differences"
+          % (options.graphs, broken, wrong))
+    return 1 if failures or differing or wrong else 0
 
 
 if __name__ == "__main__":

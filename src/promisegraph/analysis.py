@@ -47,6 +47,11 @@ class Severity(Enum):
 # keyed by value: an enum member's hash, like its `value`, runs in Python
 _SEVERITY_RANKS = {"info": 1, "warning": 2, "violation": 3}
 
+# module names for the members the rules put on each finding, as for OFFER
+(UNBOUND_OFFER, UNBOUND_ACCEPT, SINGLE_SOURCE_ACCEPTANCE, SCOPE_HIDING, BEHALF_OF_VIOLATION,
+ IMPOSITION_PRESSURE) = FindingRule
+INFO, WARNING, VIOLATION = Severity
+
 
 class Binding(NamedTuple):
     offer: str
@@ -268,18 +273,17 @@ def bind(graph: PromiseGraph) -> List[Binding]:
 
 def unbound(graph: PromiseGraph, bindings: Sequence[Binding]) -> List[Finding]:
     """A warning for every promise that found no complementary partner."""
-    offers = (FindingRule.UNBOUND_OFFER, {b.offer for b in bindings},
+    offers = (UNBOUND_OFFER, {b.offer for b in bindings},
               "offer %r of topic %r by %s is not accepted by any promisee")
-    accepts = (FindingRule.UNBOUND_ACCEPT, {b.accept for b in bindings},
+    accepts = (UNBOUND_ACCEPT, {b.accept for b in bindings},
                "acceptance %r of topic %r by %s matches no declared offer")
-    warning = Severity.WARNING
     findings: List[Finding] = []
     for promise in graph.promises:
         body = promise.body
         rule, bound, message = offers if body.polarity is OFFER else accepts
         if promise.id not in bound:
             findings.append(Finding(
-                rule, warning, (promise.id, promise.promiser),
+                rule, WARNING, (promise.id, promise.promiser),
                 message % (promise.id, body.topic, promise.promiser), promise.span))
     return findings
 
@@ -333,7 +337,7 @@ def single_source(graph: PromiseGraph, quorum: int = 2) -> List[Finding]:
             continue
         ignored = sorted(sources - taken)
         findings.append(Finding(
-            FindingRule.SINGLE_SOURCE_ACCEPTANCE, Severity.VIOLATION,
+            SINGLE_SOURCE_ACCEPTANCE, VIOLATION,
             (consumer, topic, *ignored),
             "%s accepts topic %r from %d source(s) while %d agents offer it "
             "(quorum %d); ignored: %s"
@@ -354,7 +358,7 @@ def scope_audit(graph: PromiseGraph) -> List[Finding]:
         for agent in sorted(promise.body.affects):
             if not watchers.privy(agent, promise):
                 findings.append(Finding(
-                    FindingRule.SCOPE_HIDING, Severity.WARNING,
+                    SCOPE_HIDING, WARNING,
                     (promise.id, agent),
                     "promise %r affects %s, who is not privy to it"
                     % (promise.id, agent),
@@ -371,7 +375,7 @@ def behalf_violations(graph: PromiseGraph) -> List[Finding]:
         if behalf is None:
             continue
         findings.append(Finding(
-            FindingRule.BEHALF_OF_VIOLATION, Severity.VIOLATION,
+            BEHALF_OF_VIOLATION, VIOLATION,
             (promise.id, promise.promiser, behalf),
             "%s promises %r on behalf of %s, but only %s can promise its own behaviour"
             % (promise.promiser, promise.id, behalf, behalf),
@@ -391,7 +395,7 @@ def imposition_pressure(graph: PromiseGraph) -> List[Finding]:
         if len(impositions) < 2:
             continue
         findings.append(Finding(
-            FindingRule.IMPOSITION_PRESSURE, Severity.INFO,
+            IMPOSITION_PRESSURE, INFO,
             (imposee, *[imp.id for imp in impositions]),
             "%s is subject to %d impositions: %s"
             % (imposee, len(impositions), ", ".join(imp.id for imp in impositions)),
@@ -400,7 +404,7 @@ def imposition_pressure(graph: PromiseGraph) -> List[Finding]:
     for imposition in graph.impositions:
         if imposition.kind is ImpositionKind.THREAT:
             findings.append(Finding(
-                FindingRule.IMPOSITION_PRESSURE, Severity.INFO,
+                IMPOSITION_PRESSURE, INFO,
                 (imposition.id, imposition.imposer, imposition.imposee),
                 "imposition %r is a threat by %s against %s"
                 % (imposition.id, imposition.imposer, imposition.imposee),

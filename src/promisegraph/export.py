@@ -112,20 +112,20 @@ def to_json(graph: PromiseGraph) -> bytes:
     """Canonical JSON bytes for a graph; stable across runs."""
     quoted, names, optional = _quoted, _name_list, _optional
     return (_GRAPH_JSON % (
-        ",".join([_AGENT_JSON % (quoted(id), kind.value, column, end, line, start)
+        ",".join([_AGENT_JSON % (quoted(id), kind._value_, column, end, line, start)
                   for id, kind, (start, end, line, column) in graph.agents.values()]),
         ",".join([_ASSESSMENT_JSON % (quoted(assessor), quoted(id), optional(note),
                                       quoted(target), ordinal, column, end, line, start,
-                                      verdict.value)
+                                      verdict._value_)
                   for id, assessor, target, verdict, note, ordinal, (start, end, line, column)
                   in graph.assessments]),
-        ",".join([_IMPOSITION_JSON % (quoted(imposer), quoted(id), kind.value,
+        ",".join([_IMPOSITION_JSON % (quoted(imposer), quoted(id), kind._value_,
                                       column, end, line, start, quoted(text), quoted(imposee))
                   for id, imposer, imposee, kind, text, (start, end, line, column)
                   in graph.impositions]),
         ",".join([_PROMISE_JSON % (names(affects), optional(behalf), optional(condition),
-                                   polarity.value, quoted(text), quoted(topic), quoted(promiser),
-                                   quoted(id), provenance.value, names(scope),
+                                   polarity._value_, quoted(text), quoted(topic), quoted(promiser),
+                                   quoted(id), provenance._value_, names(scope),
                                    column, end, line, start, names(promisees))
                   for (id, promiser, promisees, (polarity, topic, text, behalf, affects,
                                                  condition),
@@ -389,7 +389,7 @@ def render_report(report: AnalysisReport, format: ReportFormat = ReportFormat.TE
             ",".join([_CENSUS_ROW_JSON % (accepts_out, quoted(agent), offers_in, quoted(topic))
                       for (agent, topic), (offers_in, accepts_out)
                       in sorted(report.census.items())]),
-            ",".join([_FINDING_JSON % (quoted(message), rule.value, severity.value,
+            ",".join([_FINDING_JSON % (quoted(message), rule._value_, severity._value_,
                                        column, end, line, start, ",".join(map(quoted, subjects)))
                       for rule, severity, subjects, message, (start, end, line, column)
                       in report.findings]),
@@ -402,11 +402,11 @@ def render_report(report: AnalysisReport, format: ReportFormat = ReportFormat.TE
     }
     lines = ["%d findings" % len(report.findings)]
     for finding in report.findings:
-        severity = finding.severity.value
+        severity = finding.severity._value_
         if color:
             severity = styles[severity] % severity
         lines.append("%s %s %s @%d:%d %s" % (
-            severity, finding.rule.value, " ".join(finding.subjects),
+            severity, finding.rule._value_, " ".join(finding.subjects),
             finding.span.line, finding.span.column, finding.message))
     if report.bindings:
         lines.append("%d bindings" % len(report.bindings))

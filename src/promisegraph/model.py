@@ -279,7 +279,7 @@ def validate(graph: PromiseGraph) -> List[StructuralError]:
     agent and superagent names, no promise on behalf of its own promiser,
     no imposition on its own imposer, increasing assessment ordinals.
     Returns errors in declaration order, each with its locator; empty iff
-    the graph is well-formed."""
+    the graph is well-formed. Only a failing check formats anything."""
     errors: List[StructuralError] = []
     actors = graph.agents.keys() | graph.superagents.keys()
 
@@ -289,99 +289,105 @@ def validate(graph: PromiseGraph) -> List[StructuralError]:
     def invalid(message: str, span: SourceSpan, locator: Locator) -> None:
         error(ErrorCode.INVALID_DECLARATION, message, span, locator)
 
-    def check_span(context: str, span: SourceSpan, locator: Locator) -> None:
+    def check_span(span: SourceSpan, section: str, i: int, entity_id: str) -> None:
         start, end, line, column = span
-        if start < 0:
-            invalid("%s span starts before offset 0" % context, span, locator + ("span",))
-        elif start > end:
-            invalid("%s span starts beyond its end" % context, span, locator + ("span",))
-        elif line < 1 or column < 1:
-            invalid("%s span has a line or column below 1" % context, span, locator + ("span",))
+        fault = ("starts before offset 0" if start < 0 else "starts beyond its end" if start > end
+                 else "has a line or column below 1" if line < 1 or column < 1 else None)
+        if fault:
+            invalid("%s %r span %s" % (section[:-1], entity_id, fault), span, (section, i, "span"))
 
-    def check_actor(name: str, context: str, span: SourceSpan, locator: Locator) -> None:
-        if name not in actors:
-            error(ErrorCode.UNRESOLVED_REFERENCE,
-                  "%s refers to undeclared agent %r" % (context, name), span, locator)
+    def undeclared(context: str, name: str, span: SourceSpan, locator: Locator) -> None:
+        error(ErrorCode.UNRESOLVED_REFERENCE,
+              "%s refers to undeclared agent %r" % (context, name), span, locator)
 
-    def check_actors(names: FrozenSet[str], context: str, span: SourceSpan,
-                     locator: Locator) -> None:
-        if names <= actors:
-            return
+    def unresolved(context: str, names: FrozenSet[str], span: SourceSpan,
+                   locator: Locator) -> None:
         for j, name in enumerate(sorted(names)):
-            check_actor(name, context, span, locator + (j,))
+            if name not in actors:
+                undeclared(context, name, span, locator + (j,))
 
-    def check_unique(seen: Set[str], kind: str, entity_id: str, span: SourceSpan,
-                     locator: Locator) -> None:
-        if entity_id in seen:
-            error(ErrorCode.DUPLICATE_ID, "duplicate %s id %r" % (kind, entity_id),
-                  span, locator + ("id",))
-        seen.add(entity_id)
+    def duplicate(span: SourceSpan, section: str, i: int, entity_id: str) -> None:
+        error(ErrorCode.DUPLICATE_ID, "duplicate %s id %r" % (section[:-1], entity_id), span,
+              (section, i, "id"))
 
-    for i, agent in enumerate(graph.agents.values()):
-        check_span("agent %r" % agent.id, agent.span, ("agents", i))
+    for i, (agent_id, _, span) in enumerate(graph.agents.values()):
+        check_span(span, "agents", i, agent_id)
 
-    for i, superagent in enumerate(graph.superagents.values()):
-        context, span, at = "superagent %r" % superagent.id, superagent.span, ("superagents", i)
-        check_span(context, span, at)
-        if not superagent.members:
-            invalid("%s has no members" % context, span, at + ("members",))
-        if superagent.id in graph.agents:
+    for i, (superagent_id, members, span) in enumerate(graph.superagents.values()):
+        check_span(span, "superagents", i, superagent_id)
+        if not members:
+            invalid("superagent %r has no members" % superagent_id, span,
+                    ("superagents", i, "members"))
+        if superagent_id in graph.agents:
             error(ErrorCode.NAMESPACE_CLASH,
-                  "%r is declared both as an agent and as a superagent" % superagent.id,
-                  span, at + ("id",))
-        check_actors(superagent.members, context + " member", span, at + ("members",))
+                  "%r is declared both as an agent and as a superagent" % superagent_id,
+                  span, ("superagents", i, "id"))
+        if not members <= actors:
+            unresolved("superagent %r member" % superagent_id, members, span,
+                       ("superagents", i, "members"))
 
     for name in _superagent_cycles(graph):
         error(ErrorCode.CYCLIC_SUPERAGENT,
               "superagent %r is a member of itself through its membership chain" % name,
               graph.superagents[name].span, ())
 
-    seen_promise_ids: Set[str] = set()
-    for i, promise in enumerate(graph.promises):
-        promise_id, promiser, promisees, body, scope, _, span = promise
-        context, at = "promise %r" % promise_id, ("promises", i)
-        check_span(context, span, at)
+    # each id's first index: a later entity with the id is a duplicate
+    seen_promise_ids: Dict[str, int] = {}
+    for i, (promise_id, promiser, promisees, body, scope, _, span) in enumerate(graph.promises):
+        check_span(span, "promises", i, promise_id)
         if not promisees:
-            invalid("%s has no promisees" % context, span, at + ("to",))
+            invalid("promise %r has no promisees" % promise_id, span, ("promises", i, "to"))
         if not body.topic:
-            invalid("%s has an empty topic" % context, span, at + ("body", "topic"))
-        check_unique(seen_promise_ids, "promise", promise_id, span, at)
-        check_actor(promiser, context, span, at + ("from",))
-        check_actors(promisees, context, span, at + ("to",))
-        check_actors(scope, context, span, at + ("scope",))
-        check_actors(body.affects, context, span, at + ("body", "affects"))
+            invalid("promise %r has an empty topic" % promise_id, span,
+                    ("promises", i, "body", "topic"))
+        if seen_promise_ids.setdefault(promise_id, i) != i:
+            duplicate(span, "promises", i, promise_id)
+        if promiser not in actors:
+            undeclared("promise %r" % promise_id, promiser, span, ("promises", i, "from"))
+        if not promisees <= actors:
+            unresolved("promise %r" % promise_id, promisees, span, ("promises", i, "to"))
+        if not scope <= actors:
+            unresolved("promise %r" % promise_id, scope, span, ("promises", i, "scope"))
+        if not body.affects <= actors:
+            unresolved("promise %r" % promise_id, body.affects, span,
+                       ("promises", i, "body", "affects"))
         behalf = body.behalf_of
+        if behalf is None:
+            continue
         if behalf == promiser:
-            invalid("%s is made on behalf of its own promiser" % context,
-                    span, at + ("body", "behalf"))
-        elif behalf is not None:
-            check_actor(behalf, context, span, at + ("body", "behalf"))
+            invalid("promise %r is made on behalf of its own promiser" % promise_id, span,
+                    ("promises", i, "body", "behalf"))
+        elif behalf not in actors:
+            undeclared("promise %r" % promise_id, behalf, span, ("promises", i, "body", "behalf"))
 
-    seen_imposition_ids: Set[str] = set()
-    for i, imposition in enumerate(graph.impositions):
-        context, span, at = "imposition %r" % imposition.id, imposition.span, ("impositions", i)
-        check_span(context, span, at)
-        check_unique(seen_imposition_ids, "imposition", imposition.id, span, at)
-        check_actor(imposition.imposer, context, span, at + ("from",))
-        if imposition.imposee == imposition.imposer:
-            invalid("%s imposes on its own imposer" % context, span, at + ("to",))
-        else:
-            check_actor(imposition.imposee, context, span, at + ("to",))
+    seen_imposition_ids: Dict[str, int] = {}
+    for i, (imposition_id, imposer, imposee, _, _, span) in enumerate(graph.impositions):
+        check_span(span, "impositions", i, imposition_id)
+        if seen_imposition_ids.setdefault(imposition_id, i) != i:
+            duplicate(span, "impositions", i, imposition_id)
+        if imposer not in actors:
+            undeclared("imposition %r" % imposition_id, imposer, span, ("impositions", i, "from"))
+        if imposee == imposer:
+            invalid("imposition %r imposes on its own imposer" % imposition_id, span,
+                    ("impositions", i, "to"))
+        elif imposee not in actors:
+            undeclared("imposition %r" % imposition_id, imposee, span, ("impositions", i, "to"))
 
-    seen_assessment_ids: Set[str] = set()
+    seen_assessment_ids: Dict[str, int] = {}
     last_ordinal = -1
-    for i, assessment in enumerate(graph.assessments):
-        context, span, at = "assessment %r" % assessment.id, assessment.span, ("assessments", i)
-        check_span(context, span, at)
-        if assessment.ordinal <= last_ordinal:
-            invalid("%s ordinal %d does not increase" % (context, assessment.ordinal),
-                    span, at + ("ordinal",))
-        last_ordinal = assessment.ordinal
-        check_unique(seen_assessment_ids, "assessment", assessment.id, span, at)
-        check_actor(assessment.assessor, context, span, at + ("by",))
-        if assessment.target not in seen_promise_ids:
-            error(ErrorCode.UNRESOLVED_REFERENCE,
-                  "%s targets unknown promise %r" % (context, assessment.target),
-                  span, at + ("on",))
+    for i, (assessment_id, assessor, target, _, _, ordinal, span) in enumerate(
+            graph.assessments):
+        check_span(span, "assessments", i, assessment_id)
+        if ordinal <= last_ordinal:
+            invalid("assessment %r ordinal %d does not increase" % (assessment_id, ordinal),
+                    span, ("assessments", i, "ordinal"))
+        last_ordinal = ordinal
+        if seen_assessment_ids.setdefault(assessment_id, i) != i:
+            duplicate(span, "assessments", i, assessment_id)
+        if assessor not in actors:
+            undeclared("assessment %r" % assessment_id, assessor, span, ("assessments", i, "by"))
+        if target not in seen_promise_ids:
+            error(ErrorCode.UNRESOLVED_REFERENCE, "assessment %r targets unknown promise %r"
+                  % (assessment_id, target), span, ("assessments", i, "on"))
 
     return errors

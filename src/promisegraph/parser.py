@@ -25,11 +25,15 @@ Both paths give a builder one slot value per slot, in template order: the
 word of a NAME or choice, the source text of a NAMES list (the token
 parser joins the names with `,`), the source text of a STRING literal, or
 None for an omitted clause. A builder returns None, a miss, when a name is
-a keyword, which only a pattern can take.
+a keyword, which only a pattern can take. Spans, bodies and promises are
+made with `tuple.__new__`, and the builders read a NAMES slot through a
+bounded cache keyed by its source text, which also keeps whether it names a
+keyword.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import (TYPE_CHECKING, Callable, Collection, Dict, FrozenSet, List, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
@@ -81,6 +85,9 @@ DEFAULT_IMPOSITION_KIND = Imposition._field_defaults["kind"]
 NO_TEXT = Body._field_defaults["text"]
 NO_NAMES: FrozenSet[str] = Promise._field_defaults["scope"]
 UNNUMBERED = Assessment._field_defaults["ordinal"]
+# makes the records built most often, spans, bodies and promises, from every
+# field, without the Python frame of their `NamedTuple.__new__`
+_new = tuple.__new__
 
 Item = Union[Agent, Superagent, Promise, Imposition, Assessment]
 
@@ -97,12 +104,15 @@ class Document(NamedTuple):
     items: Tuple[Item, ...]
 
 
-def _names(listed: Optional[str]) -> FrozenSet[str]:
+@lru_cache(maxsize=4096)  # sparse documents repeat about 1.5k lists
+def _names(listed: Optional[str]) -> Optional[FrozenSet[str]]:
+    """The names of a NAMES slot's source text, or None if one is a keyword."""
     if not listed:  # an omitted clause, or `scope [ ]`
         return NO_NAMES
     if "#" in listed:  # a comment runs to the end of its line
         listed = "".join(line.partition("#")[0] for line in listed.split("\n"))
-    return frozenset(map(str.strip, listed.split(",")))
+    names = frozenset(map(str.strip, listed.split(",")))
+    return names if KEYWORDS.isdisjoint(names) else None
 
 
 def _agent(span: SourceSpan, values: Values) -> Optional[Agent]:
@@ -115,7 +125,7 @@ def _agent(span: SourceSpan, values: Values) -> Optional[Agent]:
 def _superagent(span: SourceSpan, values: Values) -> Optional[Superagent]:
     name, listed = values
     members = _names(listed)
-    if name in KEYWORDS or not KEYWORDS.isdisjoint(members):
+    if name in KEYWORDS or members is None:
         return None
     return Superagent(name, members, span)
 
@@ -123,20 +133,19 @@ def _superagent(span: SourceSpan, values: Values) -> Optional[Superagent]:
 def _promise(span: SourceSpan, values: Values) -> Optional[Promise]:
     (name, promiser, listed, scoped, provenance, polarity, topic, text, behalf, affected,
      condition) = values
-    promisees = _names(listed)
-    scope = _names(scoped)
-    affects = _names(affected)
-    if not KEYWORDS.isdisjoint((name, promiser, topic, behalf, *promisees, *scope, *affects)):
+    promisees, scope, affects = _names(listed), _names(scoped), _names(affected)
+    if (promisees is None or scope is None or affects is None or name in KEYWORDS
+            or promiser in KEYWORDS or topic in KEYWORDS or behalf in KEYWORDS):
         return None
-    body = Body(POLARITIES[polarity], topic, string_value(text) if text else NO_TEXT, behalf,
-                affects, None if condition is None else string_value(condition))
-    return Promise(name, promiser, promisees, body, scope,
-                   PROVENANCES.get(provenance, DEFAULT_PROVENANCE), span)
+    body = _new(Body, (POLARITIES[polarity], topic, string_value(text) if text else NO_TEXT,
+                       behalf, affects, None if condition is None else string_value(condition)))
+    return _new(Promise, (name, promiser, promisees, body, scope,
+                          PROVENANCES.get(provenance, DEFAULT_PROVENANCE), span))
 
 
 def _imposition(span: SourceSpan, values: Values) -> Optional[Imposition]:
     name, imposer, imposee, kind, text = values
-    if not KEYWORDS.isdisjoint((name, imposer, imposee)):
+    if name in KEYWORDS or imposer in KEYWORDS or imposee in KEYWORDS:
         return None
     return Imposition(name, imposer, imposee, IMPOSITION_KINDS.get(kind, DEFAULT_IMPOSITION_KIND),
                       string_value(text), span)
@@ -144,7 +153,7 @@ def _imposition(span: SourceSpan, values: Values) -> Optional[Imposition]:
 
 def _assessment(span: SourceSpan, values: Values) -> Optional[Assessment]:
     name, assessor, target, verdict, note = values
-    if not KEYWORDS.isdisjoint((name, assessor, target)):
+    if name in KEYWORDS or assessor in KEYWORDS or target in KEYWORDS:
         return None
     return Assessment(name, assessor, target, VERDICTS[verdict],
                       None if note is None else string_value(note), UNNUMBERED, span)
@@ -322,7 +331,8 @@ def _reader(template: str, build: Builder) -> Callable[[_Parser], Item]:
             step(parser, values)
         end = parser.last
         # never None: the token parser takes no keyword as a name
-        return build(SourceSpan(start.start, end.end, start.line, start.column), values)
+        return build(_new(SourceSpan, (start.start, end.end, start.line, start.column)),
+                     values)
     return read
 
 
@@ -332,7 +342,8 @@ _READERS = {keyword: _reader(*form) for keyword, form in FORMS.items()}
 # Below this many characters the token parser reads the whole text.
 # Compiling the declaration patterns, at their module's first import, takes
 # a process 7-10 ms; on prose like the corpus's they save about 0.1 us a
-# character, so they break even near this length.
+# character, so they break even near this length, between 47 and 71 kB of
+# corpus copies, with the builders both paths share as they are now.
 PATTERN_MIN_CHARS = 65536
 
 

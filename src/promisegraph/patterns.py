@@ -10,7 +10,9 @@ without a diagnostic, and make the same record with the same span. At the
 first declaration they miss, `parse` hands the rest of the text to the
 token parser, which owns every diagnostic. The patterns compile when this
 module is first imported, which `parse` does only for a text of at least
-`PATTERN_MIN_CHARS` characters.
+`PATTERN_MIN_CHARS` characters. On a clean document the matching loop
+builds only the records: a span per declaration, with `tuple.__new__`, and
+what the builders make, which read repeated name lists from their cache.
 """
 
 from __future__ import annotations
@@ -81,6 +83,7 @@ def match_declarations(text: str, items: List[Item]) -> Tuple[int, int, int]:
     """Append the records of the declarations the patterns match, from the
     top of the text; return where the first declaration they miss starts,
     or the end of the text, as `tokenize` takes it: offset, line, line start."""
+    new = tuple.__new__  # skips SourceSpan.__new__'s Python frame
     pos = _SOFT_GAP_RE.match(text).end()
     line, counted = 1, 0
     while (form := _FORMS.get(text[pos:pos + 2])) is not None:
@@ -90,8 +93,8 @@ def match_declarations(text: str, items: List[Item]) -> Tuple[int, int, int]:
             break
         line += text.count("\n", counted, pos)
         counted = pos
-        span = SourceSpan(pos, found.start(pattern.groups), line,
-                          pos - text.rfind("\n", 0, pos))
+        span = new(SourceSpan, (pos, found.start(pattern.groups), line,
+                                pos - text.rfind("\n", 0, pos)))
         item = build(span, found.groups()[:-1])
         if item is None:
             break

@@ -132,9 +132,32 @@ def test_a_keyword_in_any_name_slot_is_a_miss(template):
     for slot in range(slots):
         for keyword in sorted(KEYWORDS):
             text = template.format(*names[:slot], keyword, *names[slot + 1:]) + "\n"
+            parser._names.cache_clear()
             assert pattern_reach(text) == "none", text
+            assert pattern_reach(text) == "none", text  # its name lists are cached now
             assert isinstance(parse_outcome(reference_parse, text), list), text
             assert parse_outcome(parse, text) == parse_outcome(reference_parse, text), text
+
+
+def test_the_name_list_cache_stays_within_its_bound():
+    bound = parser._names.cache_info().maxsize
+    assert bound is not None
+    parser._names.cache_clear()
+    for document in range(3):  # each with twice as many distinct lists as the bound
+        text = "".join("superagent G%d { A%d, B%d }\n" % (i, document, i)
+                       for i in range(2 * bound))
+        assert pattern_reach(text) == "all"
+        assert parser._names.cache_info().currsize == bound
+
+
+def test_parse_is_the_same_on_a_cold_and_a_warm_name_list_cache():
+    rng = random.Random(20261019)
+    texts = [mutated_document(rng) for _ in range(5000)]
+    cold = []
+    for text in texts:
+        parser._names.cache_clear()
+        cold.append(parse_outcome(parse, text))
+    assert [parse_outcome(parse, text) for text in texts] == cold
 
 
 @pytest.mark.parametrize("keyword", sorted(parser.FORMS))
