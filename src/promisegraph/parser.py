@@ -106,7 +106,10 @@ class Document(NamedTuple):
 
 @lru_cache(maxsize=4096)  # sparse documents repeat about 1.5k lists
 def _names(listed: Optional[str]) -> Optional[FrozenSet[str]]:
-    """The names of a NAMES slot's source text, or None if one is a keyword."""
+    """The names of a NAMES slot's source text, or None if one is a keyword.
+
+    The cache outlives `parse`: a process keeps up to 4,096 list texts,
+    comments included, and their sets until `_names.cache_clear()`."""
     if not listed:  # an omitted clause, or `scope [ ]`
         return NO_NAMES
     if "#" in listed:  # a comment runs to the end of its line

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from .lexer import BLANKS, COMMENT, KEYWORDS, STRING_LITERAL, WORD
 from .model import SourceSpan
-from .parser import CHOICES, FORMS, Item
+from .parser import CHOICES, FORMS, Item, _new
 
 if TYPE_CHECKING:
     from .parser import Builder
@@ -83,7 +83,6 @@ def match_declarations(text: str, items: List[Item]) -> Tuple[int, int, int]:
     """Append the records of the declarations the patterns match, from the
     top of the text; return where the first declaration they miss starts,
     or the end of the text, as `tokenize` takes it: offset, line, line start."""
-    new = tuple.__new__  # skips SourceSpan.__new__'s Python frame
     pos = _SOFT_GAP_RE.match(text).end()
     line, counted = 1, 0
     while (form := _FORMS.get(text[pos:pos + 2])) is not None:
@@ -93,8 +92,8 @@ def match_declarations(text: str, items: List[Item]) -> Tuple[int, int, int]:
             break
         line += text.count("\n", counted, pos)
         counted = pos
-        span = new(SourceSpan, (pos, found.start(pattern.groups), line,
-                                pos - text.rfind("\n", 0, pos)))
+        span = _new(SourceSpan, (pos, found.start(pattern.groups), line,
+                                 pos - text.rfind("\n", 0, pos)))
         item = build(span, found.groups()[:-1])
         if item is None:
             break
