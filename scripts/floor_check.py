@@ -2,7 +2,7 @@
 """Check an interpreter that has neither pytest nor hypothesis, such as the
 CPython 3.10 floor that `requires-python` names.
 
-It runs three checks with the interpreter that runs it:
+It runs four checks with the interpreter that runs it:
 - CI's golden steps: `analyze` of the corpus must exit 1 and print
   `golden/report.json` byte for byte, and `export --viewpoint Public
   --format dot` must print `golden/public-view.dot`;
@@ -15,7 +15,12 @@ It runs three checks with the interpreter that runs it:
 - a seeded differential on as many broken graphs as documents
   (`tests/reference_validate.py`): `validate` against the validator it
   replaced must give equal errors, in equal order, with equal locators,
-  and `from_json` must report the same first error at the same path.
+  and `from_json` must report the same first error at the same path;
+- a seeded differential on the corpus and as many graphs again, whose
+  (agent, topic) keys collide (`tests/reference_analysis.py`):
+  `polarity_census` and `single_source`, at a quorum from 1 to 4, against
+  the two walks they replaced must give equal censuses and equal findings,
+  in equal order.
 
 Usage: python3.10 scripts/floor_check.py [--documents N] [--seed S]
 """
@@ -37,10 +42,14 @@ sys.path[:0] = [str(SRC), str(ROOT / "tests")]
 
 from mutation import mutate  # noqa: E402
 from reference_parser import hand_parse  # noqa: E402
+from reference_analysis import (colliding_graph, reference_polarity_census,  # noqa: E402
+                                reference_single_source)
 from reference_validate import (broken_graph, json_outcome, reference_json_outcome,  # noqa: E402
                                 reference_validate)
 from promisegraph import corpus, parser, patterns  # noqa: E402
+from promisegraph.analysis import polarity_census, single_source  # noqa: E402
 from promisegraph.lexer import ParseFailure  # noqa: E402
+from promisegraph.lower import load  # noqa: E402
 from promisegraph.model import validate  # noqa: E402
 
 CORPUS = pathlib.Path(corpus.__file__).with_name(corpus.CORPUS_FILENAME)
@@ -112,7 +121,21 @@ def main() -> int:
             print("validate differs: %r" % (graph,))
     print("validate differential: %d graphs, %d broken, %d differences"
           % (options.documents, broken, wrong))
-    return 1 if failures or differing or wrong else 0
+
+    rng = random.Random(options.seed)
+    graphs = [load(source)] + [colliding_graph(rng) for _ in range(options.documents)]
+    flagged = unequal = 0
+    for graph in graphs:
+        quorum = rng.randint(1, 4)
+        expected = reference_single_source(graph, quorum)
+        flagged += bool(expected)
+        if (list(polarity_census(graph).items()) != list(reference_polarity_census(graph).items())
+                or single_source(graph, quorum) != expected):
+            unequal += 1
+            print("census or single_source differs at quorum %d: %r" % (quorum, graph))
+    print("analysis differential: %d graphs, %d with single-source findings, %d differences"
+          % (len(graphs), flagged, unequal))
+    return 1 if failures or differing or wrong or unequal else 0
 
 
 if __name__ == "__main__":

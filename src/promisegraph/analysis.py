@@ -11,18 +11,16 @@ from enum import Enum
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .model import (
+    ACCEPT,
+    OFFER,
     Imposition,
     ImpositionKind,
-    Polarity,
     Promise,
     PromiseGraph,
     SourceSpan,
     Verdict,
     _Watchers,
 )
-
-# module names: a name lookup is several times cheaper than `Polarity.OFFER`
-OFFER, ACCEPT = Polarity
 
 
 class FindingRule(Enum):
@@ -47,7 +45,7 @@ class Severity(Enum):
 # keyed by value: an enum member's hash, like its `value`, runs in Python
 _SEVERITY_RANKS = {"info": 1, "warning": 2, "violation": 3}
 
-# module names for the members the rules put on each finding, as for OFFER
+# module names for the members the rules put on each finding, as for model.OFFER
 (UNBOUND_OFFER, UNBOUND_ACCEPT, SINGLE_SOURCE_ACCEPTANCE, SCOPE_HIDING, BEHALF_OF_VIOLATION,
  IMPOSITION_PRESSURE) = FindingRule
 INFO, WARNING, VIOLATION = Severity
@@ -291,19 +289,8 @@ def unbound(graph: PromiseGraph, bindings: Sequence[Binding]) -> List[Finding]:
 def polarity_census(graph: PromiseGraph) -> Dict[Tuple[str, str], Tuple[int, int]]:
     """Per (agent, topic): offers directed at the agent vs acceptances the
     agent makes. Counts use declared ids, superagents count as themselves."""
-    counts: Dict[Tuple[str, str], List[int]] = {}
-
-    def slot(agent: str, topic: str) -> List[int]:
-        return counts.setdefault((agent, topic), [0, 0])
-
-    for promise in graph.promises:
-        body = promise.body
-        if body.polarity is OFFER:
-            for promisee in promise.promisees:
-                slot(promisee, body.topic)[0] += 1
-        else:
-            slot(promise.promiser, body.topic)[1] += 1
-    return {key: (pair[0], pair[1]) for key, pair in sorted(counts.items())}
+    index = graph._agent_topic_index
+    return {key: (len(index[key][0]), len(index[key][1])) for key in sorted(index)}
 
 
 def single_source(graph: PromiseGraph, quorum: int = 2) -> List[Finding]:
@@ -312,29 +299,19 @@ def single_source(graph: PromiseGraph, quorum: int = 2) -> List[Finding]:
     agent with at least one acceptance of the topic."""
     if quorum < 1:
         raise ValueError("quorum must be >= 1")
-    offerers: Dict[Tuple[str, str], Set[str]] = {}
-    accepted: Dict[Tuple[str, str], Set[str]] = {}
-    first_accept: Dict[Tuple[str, str], Promise] = {}
-
-    for promise in graph.promises:
-        body = promise.body
-        if body.polarity is OFFER:
-            for promisee in promise.promisees:
-                offerers.setdefault((promisee, body.topic), set()).add(promise.promiser)
-        else:
-            key = (promise.promiser, body.topic)
-            accepted.setdefault(key, set()).update(promise.promisees)
-            first_accept.setdefault(key, promise)
-
+    index = graph._agent_topic_index
     findings: List[Finding] = []
-    for key in sorted(accepted):
-        consumer, topic = key
-        sources = offerers.get(key, set())
-        taken = accepted[key]
+    # a consumer offered the topic by one promise has at most one source
+    for key in sorted(key for key, (offers, accepts) in index.items()
+                      if accepts and len(offers) > 1):
+        offers, accepts = index[key]
+        sources = {offer.promiser for offer in offers}
         if len(sources) < 2:
             continue
+        taken = set().union(*[accept.promisees for accept in accepts])
         if len(taken) >= min(quorum, len(sources)):
             continue
+        consumer, topic = key
         ignored = sorted(sources - taken)
         findings.append(Finding(
             SINGLE_SOURCE_ACCEPTANCE, VIOLATION,
@@ -342,7 +319,7 @@ def single_source(graph: PromiseGraph, quorum: int = 2) -> List[Finding]:
             "%s accepts topic %r from %d source(s) while %d agents offer it "
             "(quorum %d); ignored: %s"
             % (consumer, topic, len(taken), len(sources), quorum, ", ".join(ignored)),
-            first_accept[key].span,
+            accepts[0].span,
         ))
     return findings
 

@@ -31,6 +31,10 @@ class Polarity(Enum):
         return "+" if self is Polarity.OFFER else "−"
 
 
+# module names: a name lookup is several times cheaper than `Polarity.OFFER`
+OFFER, ACCEPT = Polarity
+
+
 class Provenance(Enum):
     EXPLICIT = "explicit"
     INFERRED = "inferred"
@@ -147,8 +151,9 @@ class _GraphFields(NamedTuple):
 
 
 class PromiseGraph(_GraphFields):
-    """Unlike its `NamedTuple` base it has a `__dict__`, for the promise
-    index; `_replace` builds a new graph, with no index yet."""
+    """Unlike its `NamedTuple` base it has a `__dict__`, for its indexes,
+    each derived from `promises` alone; `_replace` builds a new graph, with
+    no index yet."""
 
     def __new__(cls, agents: Optional[Mapping[str, Agent]] = None,
                 superagents: Optional[Mapping[str, Superagent]] = None, *rest, **named):
@@ -162,6 +167,24 @@ class PromiseGraph(_GraphFields):
         index: Dict[str, Promise] = {}
         for promise in self.promises:
             index.setdefault(promise.id, promise)
+        return index
+
+    @cached_property
+    def _agent_topic_index(self) -> Dict[Tuple[str, str], Tuple[List[Promise], List[Promise]]]:
+        """(agent, topic) -> (offers made to the agent, acceptances the agent
+        makes), each in declaration order; superagents count as themselves."""
+        index: Dict[Tuple[str, str], Tuple[List[Promise], List[Promise]]] = {}
+        for promise in self.promises:
+            body = promise.body
+            if body.polarity is OFFER:
+                agents, side = promise.promisees, 0
+            else:
+                agents, side = (promise.promiser,), 1
+            for agent in agents:
+                row = index.get((agent, body.topic))
+                if row is None:
+                    row = index[agent, body.topic] = ([], [])
+                row[side].append(promise)
         return index
 
     def promise_by_id(self, promise_id: str) -> Promise:

@@ -11,7 +11,7 @@ import importlib.util
 import pathlib
 import random
 import sys
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import pytest
 
@@ -91,8 +91,10 @@ def _span(i: int) -> SourceSpan:
 def make_random_graph(rng: random.Random, max_promises: int = 8,
                       max_agents: int = 5, with_superagents: bool = True,
                       with_impositions: bool = True,
-                      with_assessments: bool = True) -> PromiseGraph:
-    """A structurally valid graph with randomized shape."""
+                      with_assessments: bool = True,
+                      topics: Sequence[str] = TOPICS) -> PromiseGraph:
+    """A structurally valid graph with randomized shape, its promises on
+    `topics`."""
     counter = [0]
 
     def next_span() -> SourceSpan:
@@ -128,7 +130,7 @@ def make_random_graph(rng: random.Random, max_promises: int = 8,
                 behalf = rng.choice(others)
         body = Body(
             polarity=rng.choice([Polarity.OFFER, Polarity.ACCEPT]),
-            topic=rng.choice(TOPICS),
+            topic=rng.choice(topics),
             text=rng.choice(["", "free text"]),
             behalf_of=behalf,
             affects=some_actors(0, 2) if rng.random() < 0.4 else frozenset(),

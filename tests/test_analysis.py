@@ -12,6 +12,7 @@ all-pairs filter.
 import pathlib
 import random
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -571,7 +572,9 @@ def test_valid_replace_and_make_still_work():
     finding = FINDING._replace(subjects=("p", "A"))
     assert finding.subjects == ("p", "A") and type(finding) is Finding
     assert Finding._make(FINDING) == FINDING
-    with pytest.raises(ValueError, match="unexpected field"):
+    # namedtuple's own check: a ValueError before CPython 3.13, a TypeError from it
+    with pytest.raises(ValueError if sys.version_info < (3, 13) else TypeError,
+                       match="unexpected field"):
         TrustParams()._replace(gamma=0.1)
 
 

@@ -305,7 +305,8 @@ def test_rejection_path_and_reason(blob, path, reason):
 
 @pytest.mark.parametrize("blob", [
     b"[" * 100000,
-    EMPTY_JSON.replace(b'"agents":[]', b'"agents":' + b"[" * 5000 + b"]" * 5000),
+    # CPython 3.13 parses nesting 5,000 deep; 100,000 is too deep for 3.10 to 3.13
+    EMPTY_JSON.replace(b'"agents":[]', b'"agents":' + b"[" * 100000 + b"]" * 100000),
 ], ids=["root", "under-agents"])
 def test_deeply_nested_json_is_a_json_error(blob):
     with pytest.raises(JsonError) as exc:

@@ -192,7 +192,8 @@ def hand_built_graph():
     graph = PromiseGraph(agents=agents("A", "B"),
                          superagents={"G": Superagent("G", frozenset({"B"}))},
                          promises=(promise,))
-    graph.promise_by_id("p")  # the cached index is copied too
+    graph.promise_by_id("p")  # the cached indexes are copied too
+    assert graph._agent_topic_index == {("G", "t"): ([promise], [])}
     return graph
 
 
@@ -205,6 +206,17 @@ def test_graphs_pickle_and_deepcopy(make):
         assert type(twin) is PromiseGraph
         assert twin == graph
         assert [twin.promise_by_id(p.id) for p in twin.promises] == list(graph.promises)
+        assert twin._agent_topic_index == graph._agent_topic_index
+
+
+def test_replace_builds_a_graph_without_the_indexes():
+    graph = hand_built_graph()
+    assert {"_promise_index", "_agent_topic_index"} <= vars(graph).keys()
+    twin = graph._replace(promises=())
+    assert type(twin) is PromiseGraph and vars(twin) == {}
+    assert twin._agent_topic_index == {}
+    with pytest.raises(KeyError):
+        twin.promise_by_id("p")
 
 
 def test_default_graphs_share_no_mapping():
