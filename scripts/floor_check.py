@@ -2,7 +2,7 @@
 """Check an interpreter that has neither pytest nor hypothesis, such as the
 CPython 3.10 floor that `requires-python` names.
 
-It runs four checks with the interpreter that runs it:
+It runs five checks with the interpreter that runs it:
 - CI's golden steps: `analyze` of the corpus must exit 1 and print
   `golden/report.json` byte for byte, and `export --viewpoint Public
   --format dot` must print `golden/public-view.dot`;
@@ -12,6 +12,10 @@ It runs four checks with the interpreter that runs it:
   hand-written token parser that the grammar table replaced
   (`tests/reference_parser.py`). All three must return an equal
   `Document`, or equal `(message, span)` errors;
+- the CLI's exit-code contract on the same mutated documents: every
+  subcommand, run through `cli.run` on the document as its stdin, exits
+  0, 1 or 2, never 3 (an internal error), and on exit 2 it prints nothing
+  to stdout and only lines that start with `error: ` to stderr;
 - a seeded differential on as many broken graphs as documents
   (`tests/reference_validate.py`): `validate` against the validator it
   replaced must give equal errors, in equal order, with equal locators,
@@ -28,6 +32,7 @@ Usage: python3.10 scripts/floor_check.py [--documents N] [--seed S]
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import pathlib
 import platform
@@ -46,14 +51,17 @@ from reference_analysis import (colliding_graph, reference_polarity_census,  # n
                                 reference_single_source)
 from reference_validate import (broken_graph, json_outcome, reference_json_outcome,  # noqa: E402
                                 reference_validate)
-from promisegraph import corpus, parser, patterns  # noqa: E402
+from promisegraph import corpus, parser  # noqa: E402
 from promisegraph.analysis import polarity_census, single_source  # noqa: E402
+from promisegraph.cli import run  # noqa: E402
 from promisegraph.lexer import ParseFailure  # noqa: E402
 from promisegraph.lower import load  # noqa: E402
 from promisegraph.model import validate  # noqa: E402
 
 CORPUS = pathlib.Path(corpus.__file__).with_name(corpus.CORPUS_FILENAME)
 GOLDEN = CORPUS.with_name("golden")
+COMMANDS = (["check"], ["analyze", "--format", "json"], ["report"], ["trust"],
+            ["export", "--format", "dot"])
 
 
 def golden_steps() -> list:
@@ -82,8 +90,21 @@ def outcome(text: str, parse=parser.parse):
 
 def token_path(text: str):
     """`parse` with no declaration patterns: the token parser reads it all."""
-    with mock.patch.object(patterns, "match_declarations", lambda text, items: (0, 1, 0)):
+    with mock.patch.object(parser, "PATTERN_MIN_CHARS", len(text) + 1):
         return outcome(text)
+
+
+def exit_code_breaches(text: str) -> list:
+    """The subcommands that break the CLI's exit-code contract on `text`."""
+    breaches = []
+    for argv in COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        code = run([argv[0], "-", *argv[1:]], stdin=io.StringIO(text), stdout=out, stderr=err)
+        lines = err.getvalue().splitlines()
+        reported = bool(lines) and all(line.startswith("error: ") for line in lines)
+        if code not in (0, 1, 2) or code == 2 and (out.getvalue() or not reported):
+            breaches.append("%s exited %d: %r" % (argv[0], code, err.getvalue()))
+    return breaches
 
 
 def main() -> int:
@@ -98,7 +119,7 @@ def main() -> int:
     parser.PATTERN_MIN_CHARS = 1  # the patterns take texts of any length
     rng = random.Random(options.seed)
     source = corpus.load_builtin()
-    rejected = differing = 0
+    rejected = differing = breached = 0
     for _ in range(options.documents):
         text = mutate(rng, source)
         expected = outcome(text, hand_parse)
@@ -107,8 +128,13 @@ def main() -> int:
             if parse(text) != expected:
                 differing += 1
                 print("%s differs: %r" % (path, text))
+        for breach in exit_code_breaches(text):
+            breached += 1
+            print("CLI contract: %s on %r" % (breach, text))
     print("differential: %d documents, %d rejected, %d differences"
           % (options.documents, rejected, differing))
+    print("CLI exit codes: %d documents, %d subcommands each, %d breaches"
+          % (options.documents, len(COMMANDS), breached))
 
     rng = random.Random(options.seed)
     broken = wrong = 0
@@ -135,7 +161,7 @@ def main() -> int:
             print("census or single_source differs at quorum %d: %r" % (quorum, graph))
     print("analysis differential: %d graphs, %d with single-source findings, %d differences"
           % (len(graphs), flagged, unequal))
-    return 1 if failures or differing or wrong or unequal else 0
+    return 1 if failures or differing or breached or wrong or unequal else 0
 
 
 if __name__ == "__main__":

@@ -27,13 +27,12 @@ parser joins the names with `,`), the source text of a STRING literal, or
 None for an omitted clause. A builder returns None, a miss, when a name is
 a keyword, which only a pattern can take. Spans, bodies and promises are
 made with `tuple.__new__`, and the builders read a NAMES slot through a
-bounded cache keyed by its source text, which also keeps whether it names a
-keyword.
+table that each `parse` call makes and drops, keyed by the slot's source
+text, which also keeps whether it names a keyword.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import (TYPE_CHECKING, Callable, Collection, Dict, FrozenSet, List, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
@@ -93,7 +92,7 @@ Item = Union[Agent, Superagent, Promise, Imposition, Assessment]
 
 if TYPE_CHECKING:  # annotations only: building these aliases costs every import
     Values = Sequence[Optional[str]]
-    Builder = Callable[[SourceSpan, Values], Optional[Item]]
+    Builder = Callable[[SourceSpan, Values, "_Names"], Optional[Item]]
     # a step reads one piece of a template and appends its slot values
     _Step = Callable[["_Parser", list], None]
 
@@ -104,39 +103,38 @@ class Document(NamedTuple):
     items: Tuple[Item, ...]
 
 
-@lru_cache(maxsize=4096)  # sparse documents repeat about 1.5k lists
-def _names(listed: Optional[str]) -> Optional[FrozenSet[str]]:
-    """The names of a NAMES slot's source text, or None if one is a keyword.
+class _Names(dict):
+    """One `parse` call's NAMES slots: each source text, read once, maps to
+    its names, or to None if one is a keyword. A document's lists repeat."""
 
-    The cache outlives `parse`: a process keeps up to 4,096 list texts,
-    comments included, and their sets until `_names.cache_clear()`."""
-    if not listed:  # an omitted clause, or `scope [ ]`
-        return NO_NAMES
-    if "#" in listed:  # a comment runs to the end of its line
-        listed = "".join(line.partition("#")[0] for line in listed.split("\n"))
-    names = frozenset(map(str.strip, listed.split(",")))
-    return names if KEYWORDS.isdisjoint(names) else None
+    def __missing__(self, listed: Optional[str]) -> Optional[FrozenSet[str]]:
+        text = listed or ""  # None: an omitted clause, or `scope [ ]`
+        if "#" in text:  # a comment runs to the end of its line
+            text = "".join(line.partition("#")[0] for line in text.split("\n"))
+        names = frozenset(map(str.strip, text.split(","))) if text else NO_NAMES
+        self[listed] = names = names if KEYWORDS.isdisjoint(names) else None
+        return names
 
 
-def _agent(span: SourceSpan, values: Values) -> Optional[Agent]:
+def _agent(span: SourceSpan, values: Values, names: _Names) -> Optional[Agent]:
     name, kind = values
     if name in KEYWORDS:
         return None
     return Agent(name, AGENT_KINDS.get(kind, DEFAULT_AGENT_KIND), span)
 
 
-def _superagent(span: SourceSpan, values: Values) -> Optional[Superagent]:
+def _superagent(span: SourceSpan, values: Values, names: _Names) -> Optional[Superagent]:
     name, listed = values
-    members = _names(listed)
+    members = names[listed]
     if name in KEYWORDS or members is None:
         return None
     return Superagent(name, members, span)
 
 
-def _promise(span: SourceSpan, values: Values) -> Optional[Promise]:
+def _promise(span: SourceSpan, values: Values, names: _Names) -> Optional[Promise]:
     (name, promiser, listed, scoped, provenance, polarity, topic, text, behalf, affected,
      condition) = values
-    promisees, scope, affects = _names(listed), _names(scoped), _names(affected)
+    promisees, scope, affects = names[listed], names[scoped], names[affected]
     if (promisees is None or scope is None or affects is None or name in KEYWORDS
             or promiser in KEYWORDS or topic in KEYWORDS or behalf in KEYWORDS):
         return None
@@ -146,7 +144,7 @@ def _promise(span: SourceSpan, values: Values) -> Optional[Promise]:
                           PROVENANCES.get(provenance, DEFAULT_PROVENANCE), span))
 
 
-def _imposition(span: SourceSpan, values: Values) -> Optional[Imposition]:
+def _imposition(span: SourceSpan, values: Values, names: _Names) -> Optional[Imposition]:
     name, imposer, imposee, kind, text = values
     if name in KEYWORDS or imposer in KEYWORDS or imposee in KEYWORDS:
         return None
@@ -154,7 +152,7 @@ def _imposition(span: SourceSpan, values: Values) -> Optional[Imposition]:
                       string_value(text), span)
 
 
-def _assessment(span: SourceSpan, values: Values) -> Optional[Assessment]:
+def _assessment(span: SourceSpan, values: Values, names: _Names) -> Optional[Assessment]:
     name, assessor, target, verdict, note = values
     if name in KEYWORDS or assessor in KEYWORDS or target in KEYWORDS:
         return None
@@ -324,10 +322,10 @@ def _piece(piece: str, before: Optional[str]) -> Tuple[_Step, int]:
     return names, 1
 
 
-def _reader(template: str, build: Builder) -> Callable[[_Parser], Item]:
+def _reader(template: str, build: Builder) -> Callable[[_Parser, _Names], Item]:
     steps, _ = _steps(template.split())
 
-    def read(parser: _Parser) -> Item:
+    def read(parser: _Parser, names: _Names) -> Item:
         start = parser.tokens[parser.pos]
         values: List[Optional[str]] = []
         for step in steps:
@@ -335,7 +333,7 @@ def _reader(template: str, build: Builder) -> Callable[[_Parser], Item]:
         end = parser.last
         # never None: the token parser takes no keyword as a name
         return build(_new(SourceSpan, (start.start, end.end, start.line, start.column)),
-                     values)
+                     values, names)
     return read
 
 
@@ -353,10 +351,11 @@ PATTERN_MIN_CHARS = 65536
 def parse(text: str) -> Document:
     """Parse a document; raises ParseFailure carrying every diagnostic."""
     items: List[Item] = []
+    names = _Names()
     position = (0, 1, 0)  # offset, line, line start
     if len(text) >= PATTERN_MIN_CHARS:
         from .patterns import match_declarations
-        position = match_declarations(text, items)
+        position = match_declarations(text, items, names)
     parser = _Parser(tokenize(text, *position))
     errors: List[ParseError] = []
 
@@ -369,7 +368,7 @@ def parse(text: str) -> Document:
         try:
             if token.kind is not KEYWORD or token.text not in _READERS:
                 parser.fail("expected a declaration, found %s" % _describe(token))
-            items.append(_READERS[token.text](parser))
+            items.append(_READERS[token.text](parser, names))
             terminator = parser.peek()
             if terminator.kind not in (NEWLINE, EOF):
                 parser.fail("expected end of statement, found %s" % _describe(terminator))

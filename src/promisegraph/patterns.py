@@ -12,7 +12,7 @@ token parser, which owns every diagnostic. The patterns compile when this
 module is first imported, which `parse` does only for a text of at least
 `PATTERN_MIN_CHARS` characters. On a clean document the matching loop
 builds only the records: a span per declaration, with `tuple.__new__`, and
-what the builders make, which read repeated name lists from their cache.
+what the builders make, which read repeated name lists from `parse`'s table.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .model import SourceSpan
 from .parser import CHOICES, FORMS, Item, _new
 
 if TYPE_CHECKING:
-    from .parser import Builder
+    from .parser import Builder, _Names
 
 # a word ends before any character that WORD's tail class could take
 _WORD_END = "(?!%s)" % WORD[WORD.index("]") + 1:-1]
@@ -79,7 +79,7 @@ _FORMS: Dict[str, Tuple[re.Pattern[str], Builder]] = {
 }
 
 
-def match_declarations(text: str, items: List[Item]) -> Tuple[int, int, int]:
+def match_declarations(text: str, items: List[Item], names: _Names) -> Tuple[int, int, int]:
     """Append the records of the declarations the patterns match, from the
     top of the text; return where the first declaration they miss starts,
     or the end of the text, as `tokenize` takes it: offset, line, line start."""
@@ -94,7 +94,7 @@ def match_declarations(text: str, items: List[Item]) -> Tuple[int, int, int]:
         counted = pos
         span = _new(SourceSpan, (pos, found.start(pattern.groups), line,
                                  pos - text.rfind("\n", 0, pos)))
-        item = build(span, found.groups()[:-1])
+        item = build(span, found.groups()[:-1], names)
         if item is None:
             break
         items.append(item)

@@ -9,11 +9,13 @@ which the grammar table replaced. `parse` leaves a text shorter than
 every non-empty text.
 """
 
+import gc
 import os
 import pathlib
 import random
 import subprocess
 import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -56,7 +58,7 @@ def pattern_reach(text):
     """'all', 'some' or 'none': how many declarations the patterns took.
     Also checks the line and line start they return with the stop offset."""
     items = []
-    stop, line, line_start = match_declarations(text, items)
+    stop, line, line_start = match_declarations(text, items, parser._Names())
     assert (stop, line, line_start) == position(text, stop), text
     if stop == len(text):
         return "all"
@@ -132,32 +134,63 @@ def test_a_keyword_in_any_name_slot_is_a_miss(template):
     for slot in range(slots):
         for keyword in sorted(KEYWORDS):
             text = template.format(*names[:slot], keyword, *names[slot + 1:]) + "\n"
-            parser._names.cache_clear()
             assert pattern_reach(text) == "none", text
-            assert pattern_reach(text) == "none", text  # its name lists are cached now
             assert isinstance(parse_outcome(reference_parse, text), list), text
             assert parse_outcome(parse, text) == parse_outcome(reference_parse, text), text
 
 
-def test_the_name_list_cache_stays_within_its_bound():
-    bound = parser._names.cache_info().maxsize
-    assert bound is not None
-    parser._names.cache_clear()
-    for document in range(3):  # each with twice as many distinct lists as the bound
-        text = "".join("superagent G%d { A%d, B%d }\n" % (i, document, i)
-                       for i in range(2 * bound))
-        assert pattern_reach(text) == "all"
-        assert parser._names.cache_info().currsize == bound
+def held(names):
+    """The other frozensets equal to `names` that anything still holds."""
+    gc.collect()
+    return [other for other in gc.get_objects()
+            if type(other) is frozenset and other == names and other is not names]
 
 
-def test_parse_is_the_same_on_a_cold_and_a_warm_name_list_cache():
-    rng = random.Random(20261019)
-    texts = [mutated_document(rng) for _ in range(5000)]
-    cold = []
-    for text in texts:
-        parser._names.cache_clear()
-        cold.append(parse_outcome(parse, text))
-    assert [parse_outcome(parse, text) for text in texts] == cold
+@pytest.mark.parametrize("least", [1, 1 << 30], ids=["patterns", "token-path"])
+def test_parse_holds_no_name_list_once_it_returns_or_raises(monkeypatch, least):
+    monkeypatch.setattr(parser, "PATTERN_MIN_CHARS", least)
+    members = frozenset({"Lifetime1", "Lifetime2"})
+    text = ("superagent G { Lifetime1, Lifetime2 }\n"
+            "promise p from A to Lifetime1, Lifetime2 { offer t }\n")
+    document = parse(text)
+    group, promise = document.items
+    assert held(members) == [group.members] and promise.promisees is group.members
+    del document, group, promise
+    assert held(members) == []
+    with pytest.raises(ParseFailure):
+        parse(text + "agent\n")
+    assert held(members) == []
+
+
+def test_threads_parsing_at_once_get_the_sequential_outcomes(monkeypatch):
+    rng = random.Random(20261021)
+    texts = [mutated_document(rng) for _ in range(200)]
+    # corpus mutants go to the patterns first, the toys' to the token parser
+    monkeypatch.setattr(parser, "PATTERN_MIN_CHARS", 1000)
+    expected = [parse_outcome(parse, text) for text in texts]
+    assert Counter((len(text) >= 1000, isinstance(outcome, Document))
+                   for text, outcome in zip(texts, expected)).keys() == {
+        (True, True), (True, False), (False, True), (False, False)}
+    starts = (0, 50, 100, 150)  # each thread parses the texts from its own start
+    results = {}
+
+    def parse_all(start):
+        results[start] = [parse_outcome(parse, text) for text in texts[start:] + texts[:start]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=parse_all, args=(start,)) for start in starts]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == list(starts)
+    for start, outcomes in results.items():
+        assert outcomes == expected[start:] + expected[:start], start
 
 
 @pytest.mark.parametrize("keyword", sorted(parser.FORMS))
@@ -233,11 +266,12 @@ GUARDED = {
 
 TIME_MATCH = """
 import sys, time
+from promisegraph.parser import _Names
 from promisegraph.patterns import match_declarations
 with open(sys.argv[1], encoding="utf-8", newline="") as source:
     text = source.read()
 started = time.perf_counter()
-stop, _, _ = match_declarations(text, [])
+stop, _, _ = match_declarations(text, [], _Names())
 print(time.perf_counter() - started, stop < len(text))
 """
 

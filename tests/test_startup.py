@@ -82,9 +82,11 @@ def test_export_does_not_load_the_analysis(argv):
 
 def test_no_command_loads_dataclasses_or_inspect():
     # the records are tuples: building them needs neither module, nor does
-    # anything else the commands import
+    # anything else the commands import. What the interpreter loaded before
+    # promisegraph, such as a `site` .pth file's imports, is not theirs.
     run_fresh("""
         import io, sys
+        before = set(sys.modules)
         from promisegraph.cli import run
         for argv in (["check"], ["analyze", "--format", "json"],
                      ["export", "--format", "dot", "--viewpoint", "Public"]):
@@ -92,7 +94,7 @@ def test_no_command_loads_dataclasses_or_inspect():
             code = run(argv[:1] + [sys.argv[1]] + argv[1:], stdout=out, stderr=err)
             assert code in (0, 1) and not err.getvalue(), (argv, code)
             assert bool(out.getvalue()) is (argv[0] != "check"), argv
-        loaded = {"dataclasses", "inspect"} & set(sys.modules)
+        loaded = {"dataclasses", "inspect"} & (set(sys.modules) - before)
         assert not loaded, loaded
     """, CORPUS)
 
