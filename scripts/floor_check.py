@@ -24,7 +24,9 @@ It runs five checks with the interpreter that runs it:
   (agent, topic) keys collide (`tests/reference_analysis.py`):
   `polarity_census` and `single_source`, at a quorum from 1 to 4, against
   the two walks they replaced must give equal censuses and equal findings,
-  in equal order.
+  in equal order, and every finding of `analyze_all` on those graphs, at
+  that quorum, must carry the severity `analysis.RULES` gives its rule
+  (`analysis.SEVERITY`).
 
 Usage: python3.10 scripts/floor_check.py [--documents N] [--seed S]
 """
@@ -52,7 +54,8 @@ from reference_analysis import (colliding_graph, reference_polarity_census,  # n
 from reference_validate import (broken_graph, json_outcome, reference_json_outcome,  # noqa: E402
                                 reference_validate)
 from promisegraph import corpus, parser  # noqa: E402
-from promisegraph.analysis import polarity_census, single_source  # noqa: E402
+from promisegraph.analysis import (SEVERITY, AnalysisConfig, analyze_all,  # noqa: E402
+                                   polarity_census, single_source)
 from promisegraph.cli import run  # noqa: E402
 from promisegraph.lexer import ParseFailure  # noqa: E402
 from promisegraph.lower import load  # noqa: E402
@@ -150,7 +153,7 @@ def main() -> int:
 
     rng = random.Random(options.seed)
     graphs = [load(source)] + [colliding_graph(rng) for _ in range(options.documents)]
-    flagged = unequal = 0
+    flagged = unequal = findings = miscast = 0
     for graph in graphs:
         quorum = rng.randint(1, 4)
         expected = reference_single_source(graph, quorum)
@@ -159,9 +162,16 @@ def main() -> int:
                 or single_source(graph, quorum) != expected):
             unequal += 1
             print("census or single_source differs at quorum %d: %r" % (quorum, graph))
+        for finding in analyze_all(graph, AnalysisConfig(quorum)).findings:
+            findings += 1
+            if finding.severity is not SEVERITY[finding.rule]:
+                miscast += 1
+                print("severity of %r is not the table's" % (finding,))
     print("analysis differential: %d graphs, %d with single-source findings, %d differences"
           % (len(graphs), flagged, unequal))
-    return 1 if failures or differing or breached or wrong or unequal else 0
+    print("rule severities: %d findings, %d with a severity other than the table's"
+          % (findings, miscast))
+    return 1 if failures or differing or breached or wrong or unequal or miscast else 0
 
 
 if __name__ == "__main__":

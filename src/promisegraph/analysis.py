@@ -50,6 +50,19 @@ _SEVERITY_RANKS = {"info": 1, "warning": 2, "violation": 3}
  IMPOSITION_PRESSURE) = FindingRule
 INFO, WARNING, VIOLATION = Severity
 
+# One row per rule function, in analyze_all's order: the severity of each rule it finds,
+# and a call that looks the function up by module name, where perfbench's tracer wraps it
+RULES = (
+    ({UNBOUND_OFFER: WARNING, UNBOUND_ACCEPT: WARNING},
+     lambda graph, bindings, config: unbound(graph, bindings)),
+    ({SINGLE_SOURCE_ACCEPTANCE: VIOLATION},
+     lambda graph, bindings, config: single_source(graph, config.quorum)),
+    ({SCOPE_HIDING: WARNING}, lambda graph, bindings, config: scope_audit(graph)),
+    ({BEHALF_OF_VIOLATION: VIOLATION}, lambda graph, bindings, config: behalf_violations(graph)),
+    ({IMPOSITION_PRESSURE: INFO}, lambda graph, bindings, config: imposition_pressure(graph)),
+)
+SEVERITY = {rule: severity for severities, _ in RULES for rule, severity in severities.items()}
+
 
 class Binding(NamedTuple):
     offer: str
@@ -270,18 +283,18 @@ def bind(graph: PromiseGraph) -> List[Binding]:
 
 
 def unbound(graph: PromiseGraph, bindings: Sequence[Binding]) -> List[Finding]:
-    """A warning for every promise that found no complementary partner."""
-    offers = (UNBOUND_OFFER, {b.offer for b in bindings},
+    """A finding for every promise that found no complementary partner."""
+    offers = (UNBOUND_OFFER, SEVERITY[UNBOUND_OFFER], {b.offer for b in bindings},
               "offer %r of topic %r by %s is not accepted by any promisee")
-    accepts = (UNBOUND_ACCEPT, {b.accept for b in bindings},
+    accepts = (UNBOUND_ACCEPT, SEVERITY[UNBOUND_ACCEPT], {b.accept for b in bindings},
                "acceptance %r of topic %r by %s matches no declared offer")
     findings: List[Finding] = []
     for promise in graph.promises:
         body = promise.body
-        rule, bound, message = offers if body.polarity is OFFER else accepts
+        rule, severity, bound, message = offers if body.polarity is OFFER else accepts
         if promise.id not in bound:
             findings.append(Finding(
-                rule, WARNING, (promise.id, promise.promiser),
+                rule, severity, (promise.id, promise.promiser),
                 message % (promise.id, body.topic, promise.promiser), promise.span))
     return findings
 
@@ -300,6 +313,7 @@ def single_source(graph: PromiseGraph, quorum: int = 2) -> List[Finding]:
     if quorum < 1:
         raise ValueError("quorum must be >= 1")
     index = graph._agent_topic_index
+    severity = SEVERITY[SINGLE_SOURCE_ACCEPTANCE]
     findings: List[Finding] = []
     # a consumer offered the topic by one promise has at most one source
     for key in sorted(key for key, (offers, accepts) in index.items()
@@ -314,7 +328,7 @@ def single_source(graph: PromiseGraph, quorum: int = 2) -> List[Finding]:
         consumer, topic = key
         ignored = sorted(sources - taken)
         findings.append(Finding(
-            SINGLE_SOURCE_ACCEPTANCE, VIOLATION,
+            SINGLE_SOURCE_ACCEPTANCE, severity,
             (consumer, topic, *ignored),
             "%s accepts topic %r from %d source(s) while %d agents offer it "
             "(quorum %d); ignored: %s"
@@ -328,6 +342,7 @@ def scope_audit(graph: PromiseGraph) -> List[Finding]:
     """Flag promises whose declared impact set includes agents that cannot
     see the promise."""
     watchers = _Watchers(graph)
+    severity = SEVERITY[SCOPE_HIDING]
     findings: List[Finding] = []
     for promise in graph.promises:
         if not promise.body.affects:
@@ -335,7 +350,7 @@ def scope_audit(graph: PromiseGraph) -> List[Finding]:
         for agent in sorted(promise.body.affects):
             if not watchers.privy(agent, promise):
                 findings.append(Finding(
-                    SCOPE_HIDING, WARNING,
+                    SCOPE_HIDING, severity,
                     (promise.id, agent),
                     "promise %r affects %s, who is not privy to it"
                     % (promise.id, agent),
@@ -346,13 +361,14 @@ def scope_audit(graph: PromiseGraph) -> List[Finding]:
 
 def behalf_violations(graph: PromiseGraph) -> List[Finding]:
     """Flag promises made in another agent's name."""
+    severity = SEVERITY[BEHALF_OF_VIOLATION]
     findings: List[Finding] = []
     for promise in graph.promises:
         behalf = promise.body.behalf_of
         if behalf is None:
             continue
         findings.append(Finding(
-            BEHALF_OF_VIOLATION, VIOLATION,
+            BEHALF_OF_VIOLATION, severity,
             (promise.id, promise.promiser, behalf),
             "%s promises %r on behalf of %s, but only %s can promise its own behaviour"
             % (promise.promiser, promise.id, behalf, behalf),
@@ -367,12 +383,13 @@ def imposition_pressure(graph: PromiseGraph) -> List[Finding]:
     for imposition in graph.impositions:
         inbound.setdefault(imposition.imposee, []).append(imposition)
 
+    severity = SEVERITY[IMPOSITION_PRESSURE]
     findings: List[Finding] = []
     for imposee, impositions in inbound.items():
         if len(impositions) < 2:
             continue
         findings.append(Finding(
-            IMPOSITION_PRESSURE, INFO,
+            IMPOSITION_PRESSURE, severity,
             (imposee, *[imp.id for imp in impositions]),
             "%s is subject to %d impositions: %s"
             % (imposee, len(impositions), ", ".join(imp.id for imp in impositions)),
@@ -381,7 +398,7 @@ def imposition_pressure(graph: PromiseGraph) -> List[Finding]:
     for imposition in graph.impositions:
         if imposition.kind is ImpositionKind.THREAT:
             findings.append(Finding(
-                IMPOSITION_PRESSURE, INFO,
+                IMPOSITION_PRESSURE, severity,
                 (imposition.id, imposition.imposer, imposition.imposee),
                 "imposition %r is a threat by %s against %s"
                 % (imposition.id, imposition.imposer, imposition.imposee),
@@ -418,15 +435,10 @@ def sort_findings(findings: Sequence[Finding]) -> Tuple[Finding, ...]:
 
 
 def analyze_all(graph: PromiseGraph, config: Optional[AnalysisConfig] = None) -> AnalysisReport:
-    """Run every analysis and aggregate deterministically."""
+    """Bind, then run the RULES rows in order, the census and trust: one deterministic report."""
     config = config or AnalysisConfig()
     bindings = bind(graph)
-    findings: List[Finding] = []
-    findings.extend(unbound(graph, bindings))
-    findings.extend(single_source(graph, config.quorum))
-    findings.extend(scope_audit(graph))
-    findings.extend(behalf_violations(graph))
-    findings.extend(imposition_pressure(graph))
+    findings = [finding for _, run in RULES for finding in run(graph, bindings, config)]
     return AnalysisReport(
         bindings=tuple(bindings),
         findings=sort_findings(findings),

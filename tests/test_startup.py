@@ -22,10 +22,12 @@ GOLDEN = CORPUS.with_name("golden")
 
 
 def run_fresh(code, *args):
-    """Run `code` in a new interpreter that imports this promisegraph."""
+    """Run `code` in a new interpreter that imports this promisegraph. `-S`
+    skips `site`, whose `.pth` files may import what the program must not;
+    PYTHONPATH still applies."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code), *map(str, args)],
+    done = subprocess.run([sys.executable, "-S", "-c", textwrap.dedent(code), *map(str, args)],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     return done.stdout
@@ -83,7 +85,8 @@ def test_export_does_not_load_the_analysis(argv):
 def test_no_command_loads_dataclasses_or_inspect():
     # the records are tuples: building them needs neither module, nor does
     # anything else the commands import. What the interpreter loaded before
-    # promisegraph, such as a `site` .pth file's imports, is not theirs.
+    # promisegraph is not theirs; `-S` keeps `site`'s .pth files from loading
+    # either module first, where the child could no longer see an import.
     run_fresh("""
         import io, sys
         before = set(sys.modules)
