@@ -15,7 +15,11 @@ It runs five checks with the interpreter that runs it:
 - the CLI's exit-code contract on the same mutated documents: every
   subcommand, run through `cli.run` on the document as its stdin, exits
   0, 1 or 2, never 3 (an internal error), and on exit 2 it prints nothing
-  to stdout and only lines that start with `error: ` to stderr;
+  to stdout and only lines that start with `error: ` to stderr; and, as
+  CI's step on output streams that fail, through the CLI: `analyze` into
+  /dev/full (where there is one) exits 2, `check` of a missing file with
+  stderr closed exits 2 and prints nothing, and `check` of the corpus with
+  stdout closed exits 0;
 - a seeded differential on as many broken graphs as documents
   (`tests/reference_validate.py`): `validate` against the validator it
   replaced must give equal errors, in equal order, with equal locators,
@@ -110,6 +114,34 @@ def exit_code_breaches(text: str) -> list:
     return breaches
 
 
+def stream_breaches() -> list:
+    """The cases of CI's step on output streams that fail, where the CLI
+    breaks its exit-code contract."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+
+    def cli(argv, closed=None, **streams):
+        close = None if closed is None else lambda: os.close(closed)
+        return subprocess.run([sys.executable, "-m", "promisegraph", *argv], env=env,
+                              preexec_fn=close, **streams)
+
+    breaches = []
+    if os.path.exists("/dev/full"):
+        with open("/dev/full", "wb") as full:
+            done = cli(["analyze", str(CORPUS), "--format", "json"], stdout=full,
+                       stderr=subprocess.DEVNULL)
+        if done.returncode != 2:
+            breaches.append("analyze into /dev/full exited %d, not 2" % done.returncode)
+    done = cli(["check", "/nonexistent"], closed=2, stdout=subprocess.PIPE)
+    if done.returncode != 2 or done.stdout:
+        breaches.append("check of a missing file with stderr closed exited %d, printed %r"
+                        % (done.returncode, done.stdout))
+    done = cli(["check", str(CORPUS)], closed=1, stderr=subprocess.PIPE)
+    if done.returncode != 0:
+        breaches.append("check with stdout closed exited %d: %r"
+                        % (done.returncode, done.stderr))
+    return breaches
+
+
 def main() -> int:
     args = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     args.add_argument("--documents", type=int, default=5000)
@@ -136,8 +168,11 @@ def main() -> int:
             print("CLI contract: %s on %r" % (breach, text))
     print("differential: %d documents, %d rejected, %d differences"
           % (options.documents, rejected, differing))
-    print("CLI exit codes: %d documents, %d subcommands each, %d breaches"
-          % (options.documents, len(COMMANDS), breached))
+    for breach in stream_breaches():
+        breached += 1
+        print("CLI contract: %s" % breach)
+    print("CLI exit codes: %d documents, %d subcommands each, output streams that fail,"
+          " %d breaches" % (options.documents, len(COMMANDS), breached))
 
     rng = random.Random(options.seed)
     broken = wrong = 0

@@ -3,19 +3,24 @@ documents with CI-friendly exit codes.
 
 Exit code 0: success (and, for analyze/report, no finding at or above the
 --fail-on threshold). 1: findings at or above the threshold. 2: unusable
-input (parse, validation, IO, or flag errors). 3: an internal error, a bug
-in promisegraph; it is reported as one `error: internal: <Type>: <message>`
-line, never as a traceback. Diagnostics go to stderr, artifacts to stdout,
-so json/dot output can be piped safely. `run` writes only to the streams it
-is given, argparse's messages included, and reads a file's text untranslated,
-as it reads stdin; `main` gives it stdin as strict UTF-8, as a file is read,
-and stdout as UTF-8, whatever the host's locale. Apart from `report`'s
-summary line, stdout gets only what an `export` renderer returns.
+input (parse, validation, IO, or flag errors), or an output that cannot be
+written, reported as `error: cannot write output: <reason>`. 3: an internal
+error, a bug in promisegraph; it is reported as one `error: internal:
+<Type>: <message>` line, never as a traceback. Diagnostics go to stderr,
+artifacts to stdout, so json/dot output can be piped safely; a diagnostic
+that stderr cannot take is dropped, and the exit code stays as it was. `run`
+writes only to the streams it is given, argparse's messages included, and
+reads a file's text untranslated, as it reads stdin; `main` gives it stdin
+as strict UTF-8, as a file is read, and stdout as UTF-8, whatever the
+host's locale. Apart from `report`'s summary line, stdout gets only what an
+`export` renderer returns.
 
 Analysis and export are imported only by the commands that run them, so
 `check` never loads them, and `main` runs with the cyclic garbage collector
 off: the process is one-shot and builds no reference cycles that grow with
-its input.
+its input. Once stdout is flushed, `main` freezes the heap (`gc.freeze`),
+because the interpreter still runs full collections at exit, collector off
+or not, and they skip frozen objects.
 """
 
 from __future__ import annotations
@@ -23,9 +28,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import io
 import os
 import sys
-from typing import IO, List, Optional
+from typing import IO, List, Optional, Tuple
 
 from .lexer import ParseFailure
 from .lower import LowerFailure, load
@@ -99,17 +105,38 @@ def _load_graph(path: str, stdin: IO[str], stderr: IO[str]) -> Optional[PromiseG
     try:
         text = _read_input(path, stdin)
     except OSError as exc:
-        print("error: cannot read %s: %s" % (path, exc), file=stderr)
+        _report(stderr, "error: cannot read %s: %s\n" % (path, exc))
         return None
     except UnicodeDecodeError as exc:
-        print("error: %s is not valid UTF-8: %s" % (path, exc), file=stderr)
+        _report(stderr, "error: %s is not valid UTF-8: %s\n" % (path, exc))
         return None
     try:
         return load(text)
     except (ParseFailure, LowerFailure) as failure:
         for error in failure.errors:
-            print("error: %s:%s" % (path, error), file=stderr)
+            _report(stderr, "error: %s:%s\n" % (path, error))
         return None
+
+
+def _report(stderr: IO[str], text: str) -> None:
+    """Write diagnostics; what cannot be written is dropped, not sent to stdout."""
+    if stderr is not None:
+        with contextlib.suppress(OSError):
+            stderr.write(text)
+
+
+def _emit(code: int, output: str, stdout: IO[str], stderr: IO[str]) -> int:
+    """Write and flush `output`; return `code`, or 2 if it cannot be written."""
+    if output:
+        try:
+            if stdout is None:  # the process started with no stdout
+                raise OSError("stdout is closed")
+            stdout.write(output)
+            stdout.flush()
+        except OSError as exc:
+            _report(stderr, "error: cannot write output: %s\n" % exc)
+            return 2
+    return code
 
 
 def _want_color(stdout: IO[str]) -> bool:
@@ -125,23 +152,27 @@ def run(argv: List[str], stdin: IO[str] = None, stdout: IO[str] = None,
     stderr = stderr if stderr is not None else sys.stderr
 
     arg_parser = _build_arg_parser()
+    help_, usage = io.StringIO(), io.StringIO()
     try:
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with contextlib.redirect_stdout(help_), contextlib.redirect_stderr(usage):
             args = arg_parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags, 0 on --help
-        return int(exc.code or 0)
+        _report(stderr, usage.getvalue())
+        return _emit(int(exc.code or 0), help_.getvalue(), stdout, stderr)
     try:
-        return _dispatch(args, stdin, stdout, stderr)
+        code, output = _dispatch(args, stdin, stdout, stderr)
+        return _emit(code, output, stdout, stderr)
     except Exception as exc:
         # a crash must not pass for a finding (1) or for bad input (2)
         message = " ".join(str(exc).splitlines())
-        print("error: internal: %s: %s" % (type(exc).__name__, message), file=stderr)
+        _report(stderr, "error: internal: %s: %s\n" % (type(exc).__name__, message))
         return 3
 
 
 def _dispatch(args: argparse.Namespace, stdin: IO[str], stdout: IO[str],
-              stderr: IO[str]) -> int:
+              stderr: IO[str]) -> Tuple[int, str]:
+    """The exit code and what to write to stdout."""
     if args.command in ("analyze", "report", "trust"):
         # flags first: a bad one exits 2 before the input is read
         from .analysis import AnalysisConfig, TrustParams
@@ -150,15 +181,15 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str], stdout: IO[str],
             if args.command != "trust":
                 config = AnalysisConfig(quorum=args.quorum, trust=params)
         except ValueError as exc:
-            print("error: %s" % exc, file=stderr)
-            return 2
+            _report(stderr, "error: %s\n" % exc)
+            return 2, ""
 
     graph = _load_graph(args.input, stdin, stderr)
     if graph is None:
-        return 2
+        return 2, ""
 
     if args.command == "check":
-        return 0
+        return 0, ""
 
     if args.command == "export":
         from .export import to_dot, to_json, viewpoint
@@ -167,30 +198,27 @@ def _dispatch(args: argparse.Namespace, stdin: IO[str], stdout: IO[str],
             try:
                 target = viewpoint(graph, args.viewpoint).graph
             except KeyError:
-                print("error: unknown viewpoint agent %r" % args.viewpoint, file=stderr)
-                return 2
+                _report(stderr, "error: unknown viewpoint agent %r\n" % args.viewpoint)
+                return 2, ""
         if args.format == "dot":
-            stdout.write(to_dot(target))
-        else:
-            stdout.write(to_json(target).decode("utf-8"))
-        return 0
+            return 0, to_dot(target)
+        return 0, to_json(target).decode("utf-8")
 
     # analyze, report and trust
     from .analysis import Severity, analyze_all, trust
     from .export import ReportFormat, render_report, render_trust
     format_ = ReportFormat(args.format)
     if args.command == "trust":
-        stdout.write(render_trust(trust(graph, params), format_))
-        return 0
+        return 0, render_trust(trust(graph, params), format_)
     report = analyze_all(graph, config)
-    if args.command == "report":
-        stdout.write("%d agents, %d promises, %d impositions, %d assessments\n"
-                     % (len(graph.agents), len(graph.promises),
-                        len(graph.impositions), len(graph.assessments)))
     color = format_ is ReportFormat.TEXT and _want_color(stdout)
-    stdout.write(render_report(report, format_, color=color))
+    output = render_report(report, format_, color=color)
+    if args.command == "report":
+        output = ("%d agents, %d promises, %d impositions, %d assessments\n"
+                  % (len(graph.agents), len(graph.promises),
+                     len(graph.impositions), len(graph.assessments))) + output
     threshold = Severity(args.fail_on).rank
-    return 1 if any(f.severity.rank >= threshold for f in report.findings) else 0
+    return 1 if any(f.severity.rank >= threshold for f in report.findings) else 0, output
 
 
 def main() -> None:
@@ -200,4 +228,11 @@ def main() -> None:
         sys.stdin.reconfigure(encoding="utf-8", errors="strict", newline="")
     if hasattr(sys.stdout, "reconfigure"):
         sys.stdout.reconfigure(encoding="utf-8")
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    for stream in filter(None, (sys.stdout, sys.stderr)):
+        try:
+            stream.flush()
+        except OSError:  # reported or dropped by run; do not fail again at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+    gc.freeze()  # the collections the interpreter runs at exit skip a frozen heap
+    sys.exit(code)

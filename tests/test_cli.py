@@ -1,6 +1,8 @@
 """CLI exit codes, stream discipline, and flag plumbing."""
 
 import argparse
+import contextlib
+import errno
 import io
 import json
 import os
@@ -453,14 +455,17 @@ HOST_ENCODINGS = {"default": {}, "latin-1": {"PYTHONIOENCODING": "latin-1"},
 
 
 def run_cli(argv, stdin=b"", env=None, **options):
-    """The CLI in a new interpreter: exit code, stdout bytes, stderr text."""
+    """The CLI in a new interpreter: exit code, stdout bytes, stderr text.
+    A stream that `options` gives the child instead of a pipe reads empty."""
     environ = {k: v for k, v in os.environ.items()
                if k not in ("PYTHONIOENCODING", "PYTHONUTF8", "LC_ALL")}
     environ.update(env or {})
     environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, environ.get("PYTHONPATH")]))
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **options}
     done = subprocess.run([sys.executable, "-m", "promisegraph", *argv], input=stdin,
-                          env=environ, capture_output=True, timeout=60, **options)
-    return done.returncode, done.stdout, done.stderr.decode("utf-8", "backslashreplace")
+                          env=environ, timeout=60, **streams)
+    return (done.returncode, done.stdout or b"",
+            (done.stderr or b"").decode("utf-8", "backslashreplace"))
 
 
 @pytest.mark.parametrize("env", HOST_ENCODINGS.values(), ids=HOST_ENCODINGS.keys())
@@ -495,6 +500,113 @@ def test_stdout_takes_any_character_whatever_the_host_encoding(env):
 def test_closed_stdin_exits_two():
     code, out, err = run_cli(["check", "-"], stdin=None, preexec_fn=lambda: os.close(0))
     assert (code, out, err) == (2, b"", "error: cannot read -: stdin is closed\n")
+
+
+# An output stream that cannot be written. A failing stdout is an IO error,
+# exit 2, reported on stderr; a diagnostic that cannot be written is dropped,
+# and the exit code is the one the run decided. Neither may leave the
+# interpreter's own complaint at exit, nor a diagnostic on stdout. With
+# buffering a short output fails only at the flush; without, at the write.
+BUFFERING = {"buffered": {"PYTHONUNBUFFERED": ""}, "unbuffered": {"PYTHONUNBUFFERED": "1"}}
+MISSING = "/no/such/file.pml"
+
+
+@contextlib.contextmanager
+def widowed_pipe():
+    """The write end of a pipe whose reader has gone."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        yield write
+    finally:
+        os.close(write)
+
+
+def closing(fd):
+    """A preexec_fn that starts the CLI with `fd` closed."""
+    return lambda: os.close(fd)
+
+
+def assert_no_stray_output(out, err):
+    assert b"error:" not in out, out
+    assert "Exception ignored" not in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("env", BUFFERING.values(), ids=BUFFERING.keys())
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_stdout_exits_two(env):
+    with open("/dev/full", "wb") as full:
+        code, out, err = run_cli(["analyze", str(CORPUS), "--format", "json"], env=env,
+                                 stdout=full)
+    assert code == 2
+    assert err.startswith("error: cannot write output: [Errno %d]" % errno.ENOSPC), err
+    assert err.count("\n") == 1
+    assert_no_stray_output(out, err)
+
+
+# trust's output fits the stdio buffer and fails at the flush; export's JSON of
+# the corpus (12 KB) does not, and fails at the write; --help is argparse's
+@pytest.mark.parametrize("env", BUFFERING.values(), ids=BUFFERING.keys())
+@pytest.mark.parametrize("argv", [["trust", str(CORPUS)], ["export", str(CORPUS)], ["--help"]],
+                         ids=["trust", "export", "help"])
+def test_a_stdout_whose_reader_has_gone_exits_two(env, argv):
+    with widowed_pipe() as stdout:
+        code, out, err = run_cli(argv, env=env, stdout=stdout)
+    assert (code, err) == (2, "error: cannot write output: [Errno %d] Broken pipe\n"
+                           % errno.EPIPE)
+    assert_no_stray_output(out, err)
+
+
+@pytest.mark.parametrize("env", BUFFERING.values(), ids=BUFFERING.keys())
+def test_a_closed_stdout_fails_only_a_command_that_writes(env):
+    code, out, err = run_cli(["analyze", str(CORPUS)], env=env, preexec_fn=closing(1))
+    assert (code, err) == (2, "error: cannot write output: stdout is closed\n")
+    assert_no_stray_output(out, err)
+    code, out, err = run_cli(["check", str(CORPUS)], env=env, preexec_fn=closing(1))
+    assert (code, out, err) == (0, b"", "")
+
+
+@pytest.mark.parametrize("env", BUFFERING.values(), ids=BUFFERING.keys())
+@pytest.mark.parametrize("argv", [["check", MISSING], ["check", "broken"],
+                                  ["analyze", str(CORPUS), "--quorum", "0"],
+                                  ["analyze", str(CORPUS), "--format", "pdf"]],
+                         ids=["missing", "parse-error", "quorum", "bad-flag"])
+@pytest.mark.parametrize("stderr", ["widowed", "closed"])
+def test_a_diagnostic_that_cannot_be_written_keeps_the_exit_code(env, argv, stderr,
+                                                                  broken_path):
+    argv = [broken_path if arg == "broken" else arg for arg in argv]
+    if stderr == "closed":
+        code, out, err = run_cli(argv, env=env, preexec_fn=closing(2))
+    else:
+        with widowed_pipe() as pipe:
+            code, out, err = run_cli(argv, env=env, stderr=pipe)
+    assert (code, out) == (2, b"")
+    assert_no_stray_output(out, err)
+
+
+class Unwritable(io.StringIO):
+    """A stream whose every write fails, as a pipe whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_run_reports_an_unwritable_stdout_and_drops_what_stderr_cannot_take(
+        corpus_path, monkeypatch):
+    err = io.StringIO()
+    assert run(["analyze", corpus_path], stdout=Unwritable(), stderr=err) == 2
+    assert err.getvalue() == "error: cannot write output: [Errno %d] Broken pipe\n" \
+        % errno.EPIPE
+    assert run(["analyze", corpus_path], stdout=Unwritable(), stderr=Unwritable()) == 2
+    assert run(["check", MISSING], stdout=io.StringIO(), stderr=Unwritable()) == 2
+
+    def explode(graph, config=None):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("promisegraph.analysis.analyze_all", explode)
+    out = io.StringIO()
+    assert run(["analyze", corpus_path], stdout=out, stderr=Unwritable()) == 3
+    assert out.getvalue() == ""
 
 
 MUTANT_SOURCES = [corpus.load_builtin(), CLEAN_TOY, AOA_TOY, BROKEN_TOY]

@@ -1,5 +1,6 @@
 """What a CLI call pays before and after its work: the lazy package surface,
-and the cyclic garbage collector that `main` turns off."""
+and the cyclic garbage collector that `main` turns off, and whose heap it
+freezes before the interpreter exits."""
 
 import gc
 import io
@@ -202,7 +203,9 @@ def test_main_leaves_the_collector_off(monkeypatch, capsys):
             main()
         assert exited.value.code == 0
         assert not gc.isenabled()
+        assert gc.get_freeze_count() > 0  # the collections at exit skip the heap
     finally:
+        gc.unfreeze()
         gc.enable()
     assert capsys.readouterr() == ("", "")
 
