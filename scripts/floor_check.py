@@ -2,7 +2,7 @@
 """Check an interpreter that has neither pytest nor hypothesis, such as the
 CPython 3.10 floor that `requires-python` names.
 
-It runs five checks with the interpreter that runs it:
+It runs six checks with the interpreter that runs it:
 - CI's golden steps: `analyze` of the corpus must exit 1 and print
   `golden/report.json` byte for byte, and `export --viewpoint Public
   --format dot` must print `golden/public-view.dot`;
@@ -30,7 +30,13 @@ It runs five checks with the interpreter that runs it:
   the two walks they replaced must give equal censuses and equal findings,
   in equal order, and every finding of `analyze_all` on those graphs, at
   that quorum, must carry the severity `analysis.RULES` gives its rule
-  (`analysis.SEVERITY`).
+  (`analysis.SEVERITY`);
+- the JSON round trip on the same corpus and graphs: `to_json` must write
+  the canonical form, `json.dumps(json.loads(out), sort_keys=True,
+  separators=(",", ":")) + "\n"`, and `from_json` must read back an equal
+  graph. In the parsed corpus equal name lists are one object, and in the
+  colliding graphs they are distinct objects, so `to_json`'s per-call
+  table of written lists meets both kinds.
 
 Usage: python3.10 scripts/floor_check.py [--documents N] [--seed S]
 """
@@ -39,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import json
 import os
 import pathlib
 import platform
@@ -61,6 +68,7 @@ from promisegraph import corpus, parser  # noqa: E402
 from promisegraph.analysis import (SEVERITY, AnalysisConfig, analyze_all,  # noqa: E402
                                    polarity_census, single_source)
 from promisegraph.cli import run  # noqa: E402
+from promisegraph.export import JsonError, from_json, to_json  # noqa: E402
 from promisegraph.lexer import ParseFailure  # noqa: E402
 from promisegraph.lower import load  # noqa: E402
 from promisegraph.model import validate  # noqa: E402
@@ -142,6 +150,20 @@ def stream_breaches() -> list:
     return breaches
 
 
+def round_trip_fault(graph) -> str:
+    """Why `to_json` of `graph` is not canonical or does not read back equal;
+    empty if it is and it does."""
+    out = to_json(graph)
+    text = out.decode("ascii")
+    if text != json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n":
+        return "to_json is not canonical"
+    try:
+        read = from_json(out)
+    except JsonError as error:
+        return "from_json rejects to_json: %s" % error
+    return "" if read == graph else "from_json(to_json(graph)) differs"
+
+
 def main() -> int:
     args = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     args.add_argument("--documents", type=int, default=5000)
@@ -188,8 +210,12 @@ def main() -> int:
 
     rng = random.Random(options.seed)
     graphs = [load(source)] + [colliding_graph(rng) for _ in range(options.documents)]
-    flagged = unequal = findings = miscast = 0
+    flagged = unequal = findings = miscast = unwritten = 0
     for graph in graphs:
+        fault = round_trip_fault(graph)
+        if fault:
+            unwritten += 1
+            print("%s: %r" % (fault, graph))
         quorum = rng.randint(1, 4)
         expected = reference_single_source(graph, quorum)
         flagged += bool(expected)
@@ -206,7 +232,9 @@ def main() -> int:
           % (len(graphs), flagged, unequal))
     print("rule severities: %d findings, %d with a severity other than the table's"
           % (findings, miscast))
-    return 1 if failures or differing or breached or wrong or unequal or miscast else 0
+    print("JSON round trip: %d graphs, %d not canonical or not read back equal"
+          % (len(graphs), unwritten))
+    return 1 if failures or differing or breached or wrong or unequal or miscast or unwritten else 0
 
 
 if __name__ == "__main__":

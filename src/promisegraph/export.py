@@ -93,13 +93,13 @@ _TRUST_JSON = '{"initial":%s,"trust":[%s]}\n'
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _name_list(names: FrozenSet[str]) -> str:
-    """A set-valued field: its members in sorted order."""
-    return "[%s]" % ",".join(map(_quoted, sorted(names))) if names else "[]"
+class _NameLists(dict):
+    """One `to_json` call's set-valued fields: each name set, written once,
+    maps to its members sorted and quoted. A parsed graph's lists repeat."""
 
-
-def _optional(value: Optional[str]) -> str:
-    return "null" if value is None else _quoted(value)
+    def __missing__(self, names: FrozenSet[str]) -> str:
+        self[names] = text = "[%s]" % ",".join(map(_quoted, sorted(names)))
+        return text
 
 
 def _number(value: float) -> str:
@@ -110,27 +110,28 @@ def _number(value: float) -> str:
 
 def to_json(graph: PromiseGraph) -> bytes:
     """Canonical JSON bytes for a graph; stable across runs."""
-    quoted, names, optional = _quoted, _name_list, _optional
+    quoted, names = _quoted, _NameLists()
     return (_GRAPH_JSON % (
         ",".join([_AGENT_JSON % (quoted(id), kind._value_, column, end, line, start)
                   for id, kind, (start, end, line, column) in graph.agents.values()]),
-        ",".join([_ASSESSMENT_JSON % (quoted(assessor), quoted(id), optional(note),
-                                      quoted(target), ordinal, column, end, line, start,
-                                      verdict._value_)
+        ",".join([_ASSESSMENT_JSON % (quoted(assessor), quoted(id),
+                                      "null" if note is None else quoted(note), quoted(target),
+                                      ordinal, column, end, line, start, verdict._value_)
                   for id, assessor, target, verdict, note, ordinal, (start, end, line, column)
                   in graph.assessments]),
         ",".join([_IMPOSITION_JSON % (quoted(imposer), quoted(id), kind._value_,
                                       column, end, line, start, quoted(text), quoted(imposee))
                   for id, imposer, imposee, kind, text, (start, end, line, column)
                   in graph.impositions]),
-        ",".join([_PROMISE_JSON % (names(affects), optional(behalf), optional(condition),
+        ",".join([_PROMISE_JSON % (names[affects], "null" if behalf is None else quoted(behalf),
+                                   "null" if condition is None else quoted(condition),
                                    polarity._value_, quoted(text), quoted(topic), quoted(promiser),
-                                   quoted(id), provenance._value_, names(scope),
-                                   column, end, line, start, names(promisees))
+                                   quoted(id), provenance._value_, names[scope],
+                                   column, end, line, start, names[promisees])
                   for (id, promiser, promisees, (polarity, topic, text, behalf, affects,
                                                  condition),
                        scope, provenance, (start, end, line, column)) in graph.promises]),
-        ",".join([_SUPERAGENT_JSON % (quoted(id), names(members), column, end, line, start)
+        ",".join([_SUPERAGENT_JSON % (quoted(id), names[members], column, end, line, start)
                   for id, members, (start, end, line, column) in graph.superagents.values()]),
     )).encode("ascii")
 

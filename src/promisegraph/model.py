@@ -296,11 +296,12 @@ def _superagent_cycles(graph: PromiseGraph) -> List[str]:
 
 
 def validate(graph: PromiseGraph) -> List[StructuralError]:
-    """Check every graph invariant: spans from offset 0, in order and
-    1-based, non-empty members, promisees and topics, references, unique
-    promise, imposition and assessment ids, acyclic superagents, disjoint
-    agent and superagent names, no promise on behalf of its own promiser,
-    no imposition on its own imposer, increasing assessment ordinals.
+    """Check every graph invariant: agents and superagents filed under
+    their ids, spans from offset 0, in order and 1-based, non-empty
+    members, promisees and topics, references, unique promise, imposition
+    and assessment ids, acyclic superagents, disjoint agent and superagent
+    names, no promise on behalf of its own promiser, no imposition on its
+    own imposer, increasing assessment ordinals.
     Returns errors in declaration order, each with its locator; empty iff
     the graph is well-formed. Only a failing check formats anything."""
     errors: List[StructuralError] = []
@@ -333,11 +334,18 @@ def validate(graph: PromiseGraph) -> List[StructuralError]:
         error(ErrorCode.DUPLICATE_ID, "duplicate %s id %r" % (section[:-1], entity_id), span,
               (section, i, "id"))
 
-    for i, (agent_id, _, span) in enumerate(graph.agents.values()):
-        check_span(span, "agents", i, agent_id)
+    def check_entry(section: str, i: int, name: str, entity_id: str, span: SourceSpan) -> None:
+        """An agent's or superagent's span, and the name it is filed under."""
+        check_span(span, section, i, entity_id)
+        if entity_id != name:
+            invalid("%s %r is filed under the name %r" % (section[:-1], entity_id, name), span,
+                    (section, i, "id"))
 
-    for i, (superagent_id, members, span) in enumerate(graph.superagents.values()):
-        check_span(span, "superagents", i, superagent_id)
+    for i, (name, (agent_id, _, span)) in enumerate(graph.agents.items()):
+        check_entry("agents", i, name, agent_id, span)
+
+    for i, (name, (superagent_id, members, span)) in enumerate(graph.superagents.items()):
+        check_entry("superagents", i, name, superagent_id, span)
         if not members:
             invalid("superagent %r has no members" % superagent_id, span,
                     ("superagents", i, "members"))

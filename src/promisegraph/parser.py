@@ -342,9 +342,10 @@ _READERS = {keyword: _reader(*form) for keyword, form in FORMS.items()}
 
 # Below this many characters the token parser reads the whole text.
 # Compiling the declaration patterns, at their module's first import, takes
-# a process 7-10 ms; on prose like the corpus's they save about 0.1 us a
-# character, so they break even near this length, between 47 and 71 kB of
-# corpus copies, with the builders both paths share as they are now.
+# a process about 5-6.5 ms (CPython 3.11.7). Warm, on the corpus's 11,761
+# characters, the patterns save 0.05-0.13 us a character (two measurements
+# on one host disagree), so they break even somewhere near 40-130 K
+# characters. The value stays until a timed workload sits below it.
 PATTERN_MIN_CHARS = 65536
 
 

@@ -1,6 +1,7 @@
 """Serialization: canonical JSON, schema errors, DOT text, viewpoints,
 and report rendering."""
 
+import gc
 import json
 import random
 import re
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from promisegraph import corpus
+from promisegraph import corpus, export
 from promisegraph.export import (
     _KIND_SHAPES,
     JsonError,
@@ -1019,6 +1020,14 @@ def test_writers_match_the_reference_on_analyzed_awkward_graphs(graph):
     assert_report_written_as_reference(analyze_all(graph))
 
 
+def name_lists(graph: PromiseGraph) -> List[frozenset]:
+    """Every set-valued slot of a graph."""
+    slots = [s.members for s in graph.superagents.values()]
+    for promise in graph.promises:
+        slots += (promise.promisees, promise.scope, promise.body.affects)
+    return slots
+
+
 def test_writers_match_the_reference_on_the_corpus_and_benchmark_documents():
     gen = load_gen()
     texts = [corpus.load_builtin()]
@@ -1027,6 +1036,52 @@ def test_writers_match_the_reference_on_the_corpus_and_benchmark_documents():
         graph = load(text)
         assert_graph_written_as_reference(graph)
         assert_report_written_as_reference(analyze_all(graph))
+        # the parser makes one object of a repeated list; from_json makes a
+        # new object per slot, so there equal lists are distinct objects
+        read = from_json(to_json(graph))
+        slots, read_slots = name_lists(graph), name_lists(read)
+        assert len(set(map(id, slots))) < len(slots)
+        assert len(set(map(id, read_slots))) > len(set(read_slots))
+        assert_graph_written_as_reference(read)
+
+
+def test_one_name_list_object_in_every_slot_and_empty_lists_are_written_as_the_reference():
+    names = frozenset({"B", "A", 'q"', "\u00e9"})
+    empty, other_empty = frozenset(), frozenset([""]) - {""}
+    graph = PromiseGraph(
+        agents={name: Agent(name) for name in sorted(names)},
+        superagents={"G": Superagent("G", names), "H": Superagent("H", names)},
+        promises=(Promise("p", "A", names, Body(Polarity.OFFER, "t", affects=names), names),
+                  Promise("q", "B", names, Body(Polarity.ACCEPT, "t", affects=empty),
+                          other_empty),
+                  Promise("r", "B", names, Body(Polarity.ACCEPT, "t", affects=names), empty)))
+    assert validate(graph) == [] and other_empty is not empty
+    out = to_json(graph)
+    assert out.count(b'["A","B","q\\"","\\u00e9"]') == 8
+    assert out.count(b'"affects":[]') == 1 and out.count(b'"scope":[]') == 2
+    assert_graph_written_as_reference(graph)
+    assert from_json(out) == graph
+
+
+def test_to_json_makes_one_name_list_table_per_call_and_drops_it(monkeypatch):
+    """As `parse` does with its name lists: nothing outlives the call."""
+    def tables():
+        return [o for o in gc.get_objects() if type(o) is export._NameLists]
+
+    live = []
+    quoted = export._quoted
+
+    def spy(text):
+        if not live:
+            live.append(len(tables()))
+        return quoted(text)
+
+    monkeypatch.setattr(export, "_quoted", spy)
+    graph = load(corpus.load_builtin())
+    for _ in range(2):
+        assert to_json(graph) == canonical(_graph_obj(graph)).encode("ascii")
+        assert live == [1] and tables() == []
+        live.clear()
 
 
 def test_non_finite_and_negative_zero_trust_values_are_written_as_json_dumps_does():

@@ -79,6 +79,28 @@ def test_superagent_members_must_be_non_empty():
     ]
 
 
+def test_an_agent_filed_under_a_name_other_than_its_id_is_invalid():
+    # the repro: references resolve against the keys, but to_json writes the
+    # id, so from_json would reject the graph's own output
+    g = graph_of(agents={"X": Agent("Y"), "B": Agent("B")},
+                 promises=(Promise("p", "X", frozenset({"B"}), Body(Polarity.OFFER, "t")),))
+    assert declaration_errors(g) == [
+        (ErrorCode.INVALID_DECLARATION, ("agents", 0, "id"),
+         "agent 'Y' is filed under the name 'X'"),
+    ]
+
+
+def test_a_superagent_filed_under_a_name_other_than_its_id_is_invalid():
+    g = graph_of(agents=agents("A", "B"),
+                 superagents={"G": Superagent("G", frozenset({"A"})),
+                              "S": Superagent("T", frozenset({"B"}))},
+                 promises=(Promise("p", "A", frozenset({"S"}), Body(Polarity.OFFER, "t")),))
+    assert declaration_errors(g) == [
+        (ErrorCode.INVALID_DECLARATION, ("superagents", 1, "id"),
+         "superagent 'T' is filed under the name 'S'"),
+    ]
+
+
 def test_promise_rejects_self_behalf():
     # the promise is built, and `validate` reports it in place of the
     # reference check of its behalf
