@@ -2,7 +2,7 @@
 """Check an interpreter that has neither pytest nor hypothesis, such as the
 CPython 3.10 floor that `requires-python` names.
 
-It runs six checks with the interpreter that runs it:
+It runs seven checks with the interpreter that runs it:
 - CI's golden steps: `analyze` of the corpus must exit 1 and print
   `golden/report.json` byte for byte, and `export --viewpoint Public
   --format dot` must print `golden/public-view.dot`;
@@ -36,7 +36,13 @@ It runs six checks with the interpreter that runs it:
   separators=(",", ":")) + "\n"`, and `from_json` must read back an equal
   graph. In the parsed corpus equal name lists are one object, and in the
   colliding graphs they are distinct objects, so `to_json`'s per-call
-  table of written lists meets both kinds.
+  table of written lists meets both kinds;
+- output under every hash seed: `analyze` as text and as JSON, `report`,
+  and `export` as JSON, as DOT and as DOT with `--viewpoint`, each run
+  through the CLI on the corpus and on a small sparse and a small dense
+  document from `perfbench/gen.py`, must print the same stdout and stderr
+  and exit with the same code under `PYTHONHASHSEED` 0, 1, 2, 12345 and
+  `random`.
 
 Usage: python3.10 scripts/floor_check.py [--documents N] [--seed S]
 """
@@ -57,7 +63,9 @@ from unittest import mock
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 sys.path[:0] = [str(SRC), str(ROOT / "tests")]
+sys.path.append(str(ROOT / "perfbench"))
 
+import gen  # noqa: E402
 from mutation import mutate  # noqa: E402
 from reference_parser import hand_parse  # noqa: E402
 from reference_analysis import (colliding_graph, reference_polarity_census,  # noqa: E402
@@ -77,6 +85,7 @@ CORPUS = pathlib.Path(corpus.__file__).with_name(corpus.CORPUS_FILENAME)
 GOLDEN = CORPUS.with_name("golden")
 COMMANDS = (["check"], ["analyze", "--format", "json"], ["report"], ["trust"],
             ["export", "--format", "dot"])
+HASH_SEEDS = ("0", "1", "2", "12345", "random")
 
 
 def golden_steps() -> list:
@@ -147,6 +156,30 @@ def stream_breaches() -> list:
     if done.returncode != 0:
         breaches.append("check with stdout closed exited %d: %r"
                         % (done.returncode, done.stderr))
+    return breaches
+
+
+def hash_seed_breaches(seed: int) -> list:
+    """The commands whose stdout, stderr or exit code differ between hash
+    seeds, on the corpus and on small generated documents."""
+    documents = [("the corpus", corpus.load_builtin(), "Public")]
+    for workload, n in (("sparse", 40), ("dense", 40)):
+        document = gen.GENERATORS[workload](seed, n)
+        documents.append(("%s %d" % (workload, seed), document.text, document.viewpoint))
+    breaches = []
+    for name, text, observer in documents:
+        for argv in (["analyze"], ["analyze", "--format", "json"], ["report"],
+                     ["export", "--format", "json"], ["export", "--format", "dot"],
+                     ["export", "--format", "dot", "--viewpoint", observer]):
+            outcomes = set()
+            for hash_seed in HASH_SEEDS:
+                done = subprocess.run(
+                    [sys.executable, "-m", "promisegraph", argv[0], "-", *argv[1:]],
+                    input=text.encode("utf-8"), capture_output=True,
+                    env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed))
+                outcomes.add((done.returncode, done.stdout, done.stderr))
+            if len(outcomes) > 1:
+                breaches.append("%s on %s" % (" ".join(argv), name))
     return breaches
 
 
@@ -234,7 +267,14 @@ def main() -> int:
           % (findings, miscast))
     print("JSON round trip: %d graphs, %d not canonical or not read back equal"
           % (len(graphs), unwritten))
-    return 1 if failures or differing or breached or wrong or unequal or miscast or unwritten else 0
+
+    unstable = hash_seed_breaches(options.seed)
+    for breach in unstable:
+        print("hash seeds: %s differs" % breach)
+    print("hash seeds: 3 documents, 6 commands, %d seeds each, %d differing"
+          % (len(HASH_SEEDS), len(unstable)))
+    return 1 if (failures or differing or breached or wrong or unequal or miscast or unwritten
+                 or unstable) else 0
 
 
 if __name__ == "__main__":

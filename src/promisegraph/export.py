@@ -137,6 +137,7 @@ def to_json(graph: PromiseGraph) -> bytes:
 
 
 _Reader = Callable[[object, str], object]
+_new = tuple.__new__  # a record from its field values, with no argument dict
 
 
 def _typed(kind: type, name: str) -> _Reader:
@@ -168,13 +169,13 @@ def _enum(enum_type: Type[Enum]) -> _Reader:
 
 
 class _Object:
-    """Reads a JSON object into `model(**arguments)`. `fields` are
-    (JSON key, constructor argument, value reader), in the order they are read."""
+    """Reads a JSON object into the record `model`: `fields` are (JSON key,
+    value reader) pairs in the record's field order, read in that order."""
 
-    def __init__(self, model: Callable[..., object], *fields: Tuple[str, str, _Reader]):
+    def __init__(self, model: type, *fields: Tuple[str, _Reader]):
         self.model = model
-        self.fields = [(key, argument, read, "." + key) for key, argument, read in fields]
-        self.keys = frozenset(key for key, _, _ in fields)
+        self.fields = [(key, read, "." + key) for key, read in fields]
+        self.keys = frozenset(key for key, _ in fields)
 
     def __call__(self, value: object, path: str) -> object:
         if not isinstance(value, dict):
@@ -183,10 +184,10 @@ class _Object:
             extra = value.keys() - self.keys
             if extra:
                 raise JsonError("%s.%s" % (path, min(extra)), "unexpected key")
-            missing = next(key for key, _, _, _ in self.fields if key not in value)
+            missing = next(key for key, _, _ in self.fields if key not in value)
             raise JsonError("%s.%s" % (path, missing), "missing key")
-        return self.model(**{argument: read(value[key], path + suffix)
-                             for key, argument, read, suffix in self.fields})
+        return _new(self.model, [read(value[key], path + suffix)
+                                 for key, read, suffix in self.fields])
 
 
 def _array_of(read: _Reader, into: Callable[..., object] = tuple) -> _Reader:
@@ -215,34 +216,28 @@ def _by_id(kind: str, read: _Reader) -> _Reader:
     return read_by_id
 
 
-_SPAN = _Object(SourceSpan, ("start", "start", _integer), ("end", "end", _integer),
-                ("line", "line", _integer), ("col", "column", _integer))
-_BODY = _Object(Body, ("polarity", "polarity", _enum(Polarity)), ("topic", "topic", _string),
-                ("text", "text", _string), ("behalf", "behalf_of", _opt_string),
-                ("affects", "affects", _names), ("condition", "condition", _opt_string))
+_SPAN = _Object(SourceSpan, ("start", _integer), ("end", _integer), ("line", _integer),
+                ("col", _integer))
+_BODY = _Object(Body, ("polarity", _enum(Polarity)), ("topic", _string), ("text", _string),
+                ("behalf", _opt_string), ("affects", _names), ("condition", _opt_string))
 
-# The graph JSON schema: sections and keys are read in this order.
+# The graph JSON schema: sections and keys in field order, read in that order.
 _GRAPH = _Object(
     PromiseGraph,
-    ("agents", "agents", _by_id("agent", _Object(
-        Agent, ("id", "id", _string), ("kind", "kind", _enum(AgentKind)),
-        ("span", "span", _SPAN)))),
-    ("superagents", "superagents", _by_id("superagent", _Object(
-        Superagent, ("id", "id", _string), ("members", "members", _names),
-        ("span", "span", _SPAN)))),
-    ("promises", "promises", _array_of(_Object(
-        Promise, ("id", "id", _string), ("from", "promiser", _string), ("to", "promisees", _names),
-        ("scope", "scope", _names), ("provenance", "provenance", _enum(Provenance)),
-        ("body", "body", _BODY), ("span", "span", _SPAN)))),
-    ("impositions", "impositions", _array_of(_Object(
-        Imposition, ("id", "id", _string), ("from", "imposer", _string),
-        ("to", "imposee", _string), ("kind", "kind", _enum(ImpositionKind)),
-        ("text", "text", _string), ("span", "span", _SPAN)))),
-    ("assessments", "assessments", _array_of(_Object(
-        Assessment, ("id", "id", _string), ("by", "assessor", _string),
-        ("on", "target", _string), ("verdict", "verdict", _enum(Verdict)),
-        ("note", "note", _opt_string), ("ordinal", "ordinal", _integer),
-        ("span", "span", _SPAN)))),
+    ("agents", _by_id("agent", _Object(
+        Agent, ("id", _string), ("kind", _enum(AgentKind)), ("span", _SPAN)))),
+    ("superagents", _by_id("superagent", _Object(
+        Superagent, ("id", _string), ("members", _names), ("span", _SPAN)))),
+    ("promises", _array_of(_Object(
+        Promise, ("id", _string), ("from", _string), ("to", _names), ("body", _BODY),
+        ("scope", _names), ("provenance", _enum(Provenance)), ("span", _SPAN)))),
+    ("impositions", _array_of(_Object(
+        Imposition, ("id", _string), ("from", _string), ("to", _string),
+        ("kind", _enum(ImpositionKind)), ("text", _string), ("span", _SPAN)))),
+    ("assessments", _array_of(_Object(
+        Assessment, ("id", _string), ("by", _string), ("on", _string),
+        ("verdict", _enum(Verdict)), ("note", _opt_string), ("ordinal", _integer),
+        ("span", _SPAN)))),
 )
 
 
@@ -252,9 +247,9 @@ def from_json(data: Union[bytes, str]) -> PromiseGraph:
     Raises only JsonError. The schema is the `_GRAPH` table above. Bad
     UTF-8, malformed or too deeply nested JSON, schema breaches and
     repeated agent or superagent ids get `$`-rooted paths such as
-    `$.agents[1].id`: the first section wins, then the first key in the
-    table's order. A document that passes reaches `validate`, whose first
-    error gets a bare path from its locator, such as `promises[3].scope[0]`,
+    `$.agents[1].id`: the first section wins, then the first key in field
+    order. A document that passes reaches `validate`, whose first error
+    gets a bare path from its locator, such as `promises[3].scope[0]`,
     `superagents[0].members` for a superagent without members,
     `agents[2].span` for a span that starts beyond its end,
     `promises[0].body.behalf` for a promise on behalf of its own promiser,

@@ -4,10 +4,11 @@ The parser has already built each declaration's model record. This pass
 puts the records into the graph's sections in declaration order, numbers
 the assessments, and leaves every reference, duplicate-id, cycle,
 self-reference and ordinal check to `validate`. Names may be declared in
-any order (forward references are fine). It checks itself only what a
-graph keyed by name cannot hold: a second agent or superagent of one
-name, and a name declared as both. All errors are reported together,
-ordered by position.
+any order (forward references are fine). It checks itself only for a
+second agent or superagent of one name, and for a name declared as both,
+so that the later declaration is reported at its own span and left out of
+the graph (`validate` would report a clash at the superagent). All errors
+are reported together, ordered by position.
 """
 
 from __future__ import annotations

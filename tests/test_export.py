@@ -94,6 +94,37 @@ def test_round_trip_on_random_graphs(seed):
     assert from_json(to_json(graph)) == graph
 
 
+def test_round_trip_keeps_every_field_in_its_place():
+    """Within each record, spans included, no two string, integer or name-list
+    fields hold the same value, so `_GRAPH` reading two same-typed keys into
+    each other's fields cannot go unseen."""
+    graph = PromiseGraph(
+        agents={
+            "Ana": Agent("Ana", AgentKind.HUMAN, SourceSpan(3, 17, 5, 9)),
+            "Ben": Agent("Ben", AgentKind.SOFTWARE, SourceSpan(20, 31, 6, 2)),
+            "Dee": Agent("Dee", AgentKind.HARDWARE, SourceSpan(40, 58, 8, 4)),
+        },
+        superagents={"Crew": Superagent("Crew", frozenset({"Ana", "Ben"}),
+                                        SourceSpan(60, 77, 10, 3))},
+        promises=(Promise("p-feed", "Ana", frozenset({"Ben"}),
+                          Body(Polarity.ACCEPT, "fuel", "words", "Crew", frozenset({"Dee"}),
+                               "if asked"),
+                          frozenset({"Crew", "Dee"}), Provenance.INFERRED,
+                          SourceSpan(80, 99, 12, 7)),),
+        impositions=(Imposition("i-push", "Ben", "Dee", ImpositionKind.THREAT, "or else",
+                                SourceSpan(101, 118, 14, 6)),),
+        assessments=(Assessment("a-seen", "Dee", "p-feed", Verdict.NOT_KEPT, "late", 4,
+                                SourceSpan(120, 135, 16, 11)),),
+    )
+    records = [*graph.agents.values(), *graph.superagents.values(), *graph.promises,
+               graph.promises[0].body, *graph.impositions, *graph.assessments]
+    for record in records + [record.span for record in records if hasattr(record, "span")]:
+        values = [v for v in record if isinstance(v, (str, int, frozenset))]
+        assert len(set(values)) == len(values), record
+    assert not validate(graph)
+    assert from_json(to_json(graph)) == graph
+
+
 def test_json_output_is_deterministic():
     graph = make_random_graph(random.Random(99), max_promises=10)
     assert to_json(graph) == to_json(graph)
@@ -290,6 +321,10 @@ def rejection_doc(change):
      "$.superagents[1].id", "duplicate superagent id 'G'"),
     (rejection_doc(lambda d: d["promises"][0]["body"].update(text=None)),
      "$.promises[0].body.text", "expected a string"),
+    (rejection_doc(lambda d: d["promises"][0].update(scope=[1], provenance="x",
+                                                      body=dict(d["promises"][0]["body"],
+                                                                text=None))),
+     "$.promises[0].body.text", "expected a string"),
     (rejection_doc(lambda d: d.update(impositions={"i": []})),
      "$.impositions", "expected an array"),
     (b"\xff" + EMPTY_JSON, "$",
@@ -297,7 +332,7 @@ def rejection_doc(change):
      "invalid start byte"),
 ], ids=["empty-members", "empty-to", "span-start-beyond-end", "span-start-negative",
         "empty-topic", "self-behalf", "self-imposition", "duplicate-superagent", "null-text",
-        "non-array-section", "non-utf8"])
+        "body-before-scope-and-provenance", "non-array-section", "non-utf8"])
 def test_rejection_path_and_reason(blob, path, reason):
     with pytest.raises(JsonError) as exc:
         from_json(blob)
@@ -558,7 +593,7 @@ def mutate(doc, rng):
 FIELD_ORDER = {
     "agents": ["id", "kind", "span"],
     "superagents": ["id", "members", "span"],
-    "promises": ["id", "from", "to", "scope", "provenance", "body", "span"],
+    "promises": ["id", "from", "to", "body", "scope", "provenance", "span"],
     "impositions": ["id", "from", "to", "kind", "text", "span"],
     "assessments": ["id", "by", "on", "verdict", "note", "ordinal", "span"],
 }
