@@ -4,15 +4,19 @@ The grammar is one table, `FORMS`: each declaration keyword maps to a
 template, which lists the form's tokens in order, and to the builder that
 makes its model record, with the clause defaults applied and a span
 covering the statement. Outside braces and brackets a newline ends the
-current statement; inside them newlines are insignificant.
+current statement; inside them newlines are insignificant. Two readers
+run the table.
 
 For a text of at least `PATTERN_MIN_CHARS` characters, `parse` first
-matches whole declarations from the top, one compiled pattern per template
-(`patterns`). From the first declaration they miss, or from the top of a
-shorter text, the token parser reads the rest (`tokenize(text,
-*position)`), so it owns every diagnostic: on a grammar error it records
-one and skips to the next top-level keyword. On a long clean document it
-sees only the end.
+matches whole declarations from the top (`match_declarations`). Each
+template compiles to one pattern, on the first such text (`_patterns`),
+built from the lexer's rules for blanks, comments, words and string
+literals. A pattern and its builder accept exactly what the token parser
+accepts without a diagnostic, and make the same record with the same span.
+From the first declaration they miss, or from the top of a shorter text,
+the token parser reads the rest (`tokenize(text, *position)`), so it owns
+every diagnostic: on a grammar error it records one and skips to the next
+top-level keyword. On a long clean document it sees only the end.
 
 The token parser runs each template as steps compiled at import, one per
 piece, that expect the piece or report what they found. Three rules go
@@ -21,22 +25,27 @@ after `[` reports "expected at least one ..." when `]` is next; and an
 optional clause is entered when its keyword or STRING is next, or, for a
 clause that starts with a name list, unless `]` is next.
 
-Both paths give a builder one slot value per slot, in template order: the
-word of a NAME or choice, the source text of a NAMES list (the token
-parser joins the names with `,`), the source text of a STRING literal, or
-None for an omitted clause. A builder returns None, a miss, when a name is
-a keyword, which only a pattern can take. Spans, bodies and promises are
-made with `tuple.__new__`, and the builders read a NAMES slot through a
-table that each `parse` call makes and drops, keyed by the slot's source
-text, which also keeps whether it names a keyword.
+Both readers give a builder one slot value per slot, in template order (a
+pattern's groups, less its end marker): the word of a NAME or choice, the
+source text of a NAMES list (the token parser joins the names with `,`),
+the source text of a STRING literal, or None for an omitted clause. A
+builder returns None, a miss, when a name is a keyword, which only a
+pattern can take. Spans, bodies and promises are made with
+`tuple.__new__`, and the builders read a NAMES slot through a table that
+each `parse` call makes and drops, keyed by the slot's source text, which
+also keeps whether it names a keyword.
 """
 
 from __future__ import annotations
 
+import re
+from functools import cache
 from typing import (TYPE_CHECKING, Callable, Collection, Dict, FrozenSet, List, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
 from .lexer import (
+    BLANKS,
+    COMMENT,
     EOF,
     IDENTIFIER,
     KEYWORD,
@@ -44,6 +53,8 @@ from .lexer import (
     NEWLINE,
     PUNCTUATION,
     STRING,
+    STRING_LITERAL,
+    WORD,
     ParseError,
     ParseFailure,
     Token,
@@ -339,9 +350,85 @@ def _reader(template: str, build: Builder) -> Callable[[_Parser, _Names], Item]:
 
 _READERS = {keyword: _reader(*form) for keyword, form in FORMS.items()}
 
+# A pattern puts between two tokens the gap the token parser allows there:
+# blanks, or inside braces and brackets also comments and newlines. Every
+# word ends where the lexer ends it, and a statement ends at a newline, a
+# comment or the end of the text. A NAME takes any word, and its builder
+# misses on a keyword, because a keyword lookahead in every name slot
+# would cost half again the compile time.
+# a word ends before any character that WORD's tail class could take
+_WORD_END = "(?!%s)" % WORD[WORD.index("]") + 1:-1]
+_NAME = WORD + _WORD_END
+_SOFT_GAP = r"[ \t\r\n]*(?:%s[ \t\r\n]*)*" % COMMENT
+
+
+def _compile(template: str) -> re.Pattern[str]:
+    """One declaration, then the end of its statement and the gap to the
+    next one. Each NAME, NAMES, STRING and choice is a group, and a last,
+    empty group marks where the declaration ends."""
+    out, depth = [], 0
+    for piece in template.split():
+        if piece in ("(?:", ")?"):
+            out.append(piece)
+            continue
+        piece = piece.partition(":")[0]  # a slot's label is for diagnostics
+        gap = _SOFT_GAP if depth else BLANKS
+        if out:
+            out.append(gap)
+        if piece == "NAME":
+            out.append("(%s)" % _NAME)
+        elif piece == "NAMES":
+            out.append("(%s(?:%s,%s%s)*)" % (_NAME, gap, gap, _NAME))
+        elif piece == "STRING":
+            out.append("(%s)" % STRING_LITERAL)
+        elif piece in CHOICES:
+            out.append("(%s)%s" % ("|".join(CHOICES[piece]), _WORD_END))
+        elif piece in KEYWORDS:
+            out.append(piece + _WORD_END)
+        else:
+            out.append(re.escape(piece))
+            if piece in ("{", "["):
+                depth += 1
+            elif piece in ("}", "]"):
+                depth -= 1
+    out.append(r"()%s(?=[#\n]|\Z)%s" % (BLANKS, _SOFT_GAP))
+    return re.compile("".join(out))
+
+
+@cache
+def _patterns() -> Dict[str, Tuple[re.Pattern[str], Builder]]:
+    """Each form's pattern and builder, keyed by the first two letters of
+    its keyword; compiled once, when the first long text needs them."""
+    return {keyword[:2]: (_compile(template), build)
+            for keyword, (template, build) in FORMS.items()}
+
+
+def match_declarations(text: str, items: List[Item], names: _Names) -> Tuple[int, int, int]:
+    """Append the records of the declarations the patterns match, from the
+    top of the text; return where the first declaration they miss starts,
+    or the end of the text, as `tokenize` takes it: offset, line, line start."""
+    forms = _patterns()
+    pos = re.match(_SOFT_GAP, text).end()
+    line, counted = 1, 0
+    while (form := forms.get(text[pos:pos + 2])) is not None:
+        pattern, build = form
+        found = pattern.match(text, pos)
+        if found is None:
+            break
+        line += text.count("\n", counted, pos)
+        counted = pos
+        span = _new(SourceSpan, (pos, found.start(pattern.groups), line,
+                                 pos - text.rfind("\n", 0, pos)))
+        item = build(span, found.groups()[:-1], names)
+        if item is None:
+            break
+        items.append(item)
+        pos = found.end()
+    return pos, line + text.count("\n", counted, pos), text.rfind("\n", 0, pos) + 1
+
 
 # Below this many characters the token parser reads the whole text.
-# Compiling the declaration patterns, at their module's first import, takes
+# Compiling the declaration patterns, on the first text this long, takes
 # a process about 5-6.5 ms (CPython 3.11.7). Warm, on the corpus's 11,761
 # characters, the patterns save 0.05-0.13 us a character (two measurements
 # on one host disagree), so they break even somewhere near 40-130 K
@@ -355,7 +442,6 @@ def parse(text: str) -> Document:
     names = _Names()
     position = (0, 1, 0)  # offset, line, line start
     if len(text) >= PATTERN_MIN_CHARS:
-        from .patterns import match_declarations
         position = match_declarations(text, items, names)
     parser = _Parser(tokenize(text, *position))
     errors: List[ParseError] = []

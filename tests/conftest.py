@@ -1,4 +1,5 @@
-"""Shared fixtures: tiny documents and a seeded random graph builder.
+"""Shared fixtures: tiny documents and a seeded random graph builder, and a
+report hook that keeps a failing hypothesis test readable under `-W error`.
 
 The generator constructs graphs through the model layer directly (not via
 source text) so property tests cover shapes the corpus never exercises.
@@ -11,6 +12,7 @@ import importlib.util
 import pathlib
 import random
 import sys
+import warnings
 from typing import List, Optional, Sequence
 
 import pytest
@@ -31,6 +33,24 @@ from promisegraph.model import (
     Verdict,
     validate,
 )
+
+
+@pytest.hookimpl(tryfirst=True)
+def pytest_runtest_makereport(item, call):
+    """On a failing test hypothesis's plugin imports its patch writer, whose
+    libcst import warns (DeprecationWarning); `-W error` would turn that into
+    an INTERNALERROR that hides the failure. Import it first with that one
+    warning ignored. Without libcst there is nothing to import."""
+    failed = call.excinfo is not None and not call.excinfo.errisinstance(pytest.skip.Exception)
+    if not failed or "hypothesis.extra._patching" in sys.modules:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            import hypothesis.extra._patching  # noqa: F401
+        except ImportError:
+            pass
+
 
 GEN_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
 

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import promisegraph
-from promisegraph import corpus, parser, patterns
+from promisegraph import corpus, parser
 from promisegraph.lexer import KEYWORDS, ParseFailure, tokenize
 from promisegraph.parser import (
     AGENT_KINDS,
@@ -31,9 +31,9 @@ from promisegraph.parser import (
     PROVENANCES,
     VERDICTS,
     Document,
+    match_declarations,
     parse,
 )
-from promisegraph.patterns import match_declarations
 
 from conftest import load_gen
 from test_lower import random_document
@@ -198,7 +198,7 @@ def test_a_pattern_has_one_group_per_slot_the_token_parser_reads(keyword):
     """Both paths hand the builder the same number of slot values: the
     pattern's groups, less its end marker, and the interpreter's slots."""
     template, build = parser.FORMS[keyword]
-    pattern, pattern_build = patterns._FORMS[keyword[:2]]
+    pattern, pattern_build = parser._patterns()[keyword[:2]]
     assert pattern_build is build
     assert pattern.groups - 1 == parser._steps(template.split())[1]
 
@@ -266,8 +266,7 @@ GUARDED = {
 
 TIME_MATCH = """
 import sys, time
-from promisegraph.parser import _Names
-from promisegraph.patterns import match_declarations
+from promisegraph.parser import _Names, match_declarations
 with open(sys.argv[1], encoding="utf-8", newline="") as source:
     text = source.read()
 started = time.perf_counter()

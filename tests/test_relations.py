@@ -12,8 +12,13 @@ so they need no reference implementation.
   reports, whether H's records follow G's or are interleaved with them.
 - Renaming: a prefix keeps the sort order of names, so it maps bindings,
   findings, the census and the trust table through exactly.
+- Monotone edits. Adding a declared name to a promise's scope can only
+  drop that promise's scope-hiding findings. Appending an assessment moves
+  only its own trust entry, by one step of the fold. Adding an agent that
+  nothing mentions changes no analysis, and `to_json` only under `agents`.
 """
 
+import json
 import random
 
 from hypothesis import given, settings
@@ -21,9 +26,11 @@ from hypothesis import strategies as st
 
 from conftest import TOPICS, load_gen, make_random_graph
 from promisegraph import corpus
-from promisegraph.analysis import Binding, analyze_all, sort_findings
+from promisegraph.analysis import (SCOPE_HIDING, Binding, TrustParams, analyze_all, sort_findings,
+                                   trust)
+from promisegraph.export import to_json
 from promisegraph.lower import load
-from promisegraph.model import PromiseGraph
+from promisegraph.model import Agent, AgentKind, Assessment, PromiseGraph, Verdict, validate
 from promisegraph.parser import PATTERN_MIN_CHARS, parse
 
 PREFIX = "h-"
@@ -175,3 +182,83 @@ def test_renaming_on_random_graphs(seed, topics):
     graph = make_random_graph(random.Random(seed), max_promises=16, topics=TOPICS[:topics])
     for prefix in PREFIXES:
         assert_renaming_maps_through(graph, prefix)
+
+
+def assert_scope_growth_only_drops_scope_hiding(graph, index, rng):
+    """The name added is a declared one; half the time one the promise affects."""
+    promises = list(graph.promises)
+    promise = promises[index]
+    affected = sorted(promise.body.affects)
+    name = rng.choice(affected if affected and rng.random() < 0.5
+                      else sorted({*graph.agents, *graph.superagents}))
+    promises[index] = promise._replace(scope=promise.scope | {name})
+    edited = graph._replace(promises=tuple(promises))
+    assert not validate(edited)
+    before, after = analyze_all(graph), analyze_all(edited)
+    assert after._replace(findings=()) == before._replace(findings=())
+
+    def split(findings):
+        hiding = {f for f in findings if f.rule is SCOPE_HIDING}
+        return [f for f in findings if f not in hiding], hiding
+
+    (kept, hidden), (kept_after, hidden_after) = split(before.findings), split(after.findings)
+    assert kept_after == kept
+    assert hidden_after <= hidden
+    assert all(f.subjects[0] == promise.id for f in hidden - hidden_after)
+
+
+def assert_an_appended_assessment_moves_only_its_trust_entry(graph, rng):
+    """The new assessment has the next ordinal, a declared assessor and an
+    existing target; half the time another assessment's pair."""
+    if graph.assessments and rng.random() < 0.5:
+        pair = rng.choice(graph.assessments)
+        assessor, target = pair.assessor, pair.target
+    else:
+        assessor = rng.choice(sorted({*graph.agents, *graph.superagents}))
+        target = rng.choice(graph.promises).id
+    ordinal = max((a.ordinal for a in graph.assessments), default=-1) + 1
+    # "a-new" sorts before "a0": only the ordinals order the fold
+    new = Assessment("a-new", assessor, target, rng.choice(list(Verdict)), None, ordinal)
+    assert new.id not in {a.id for a in graph.assessments}
+    edited = graph._replace(assessments=graph.assessments + (new,))
+    assert not validate(edited)
+    before, after = analyze_all(graph), analyze_all(edited)
+    assert after._replace(trust=None) == before._replace(trust=None)
+    key = (assessor, graph.promise_by_id(target).promiser)
+    alone = graph._replace(assessments=(new,))
+    step = trust(alone, TrustParams(initial=before.trust.get(*key))).entries[key]
+    assert after.trust == (before.trust.initial, {**before.trust.entries, key: step})
+
+
+def assert_an_unmentioned_agent_changes_only_the_agent_list(graph, rng):
+    name = "zz-unmentioned"
+    assert name not in names_and_ids(graph)
+    agents = list(graph.agents.items())
+    agents.insert(rng.randint(0, len(agents)), (name, Agent(name, rng.choice(list(AgentKind)))))
+    edited = graph._replace(agents=dict(agents))
+    assert not validate(edited)
+    assert analyze_all(edited) == analyze_all(graph)
+    before, after = json.loads(to_json(graph)), json.loads(to_json(edited))
+    assert [agent for agent in after.pop("agents") if agent["id"] != name] == before.pop("agents")
+    assert after == before
+
+
+def test_monotone_edits_on_the_corpus():
+    graph = load(corpus.load_builtin())
+    rng = random.Random(7)
+    for index in range(len(graph.promises)):
+        assert_scope_growth_only_drops_scope_hiding(graph, index, rng)
+    for _ in range(20):
+        assert_an_appended_assessment_moves_only_its_trust_entry(graph, rng)
+    assert_an_unmentioned_agent_changes_only_the_agent_list(graph, rng)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS, st.integers(1, 3))
+def test_monotone_edits_on_random_graphs(seed, topics):
+    rng = random.Random(seed)
+    graph = make_random_graph(rng, max_promises=16, topics=TOPICS[:topics])
+    if graph.promises:
+        assert_scope_growth_only_drops_scope_hiding(graph, rng.randrange(len(graph.promises)), rng)
+        assert_an_appended_assessment_moves_only_its_trust_entry(graph, rng)
+    assert_an_unmentioned_agent_changes_only_the_agent_list(graph, rng)

@@ -4,6 +4,7 @@ freezes before the interpreter exits."""
 
 import gc
 import io
+import json
 import os
 import pathlib
 import subprocess
@@ -58,11 +59,14 @@ def test_only_a_long_document_compiles_the_declaration_patterns(tmp_path):
     run_fresh("""
         import io, sys
         from promisegraph.cli import run
+        from promisegraph.parser import _patterns
         quiet = io.StringIO()
         assert run(["check", sys.argv[1]], stdout=quiet, stderr=quiet) == 0
-        assert "promisegraph.patterns" not in sys.modules
-        assert run(["check", sys.argv[2]], stdout=quiet, stderr=quiet) == 0
-        assert "promisegraph.patterns" in sys.modules
+        assert _patterns.cache_info().currsize == 0
+        for _ in range(2):
+            assert run(["check", sys.argv[2]], stdout=quiet, stderr=quiet) == 0
+            compiled = _patterns.cache_info()
+            assert (compiled.misses, compiled.currsize) == (1, 1)
     """, CORPUS, long)
 
 
@@ -171,15 +175,26 @@ COMMANDS = {
 }
 
 
-def unreachable_after(argv):
-    """Objects that one `run(argv)` left only reachable through cycles."""
-    gc.collect()
-    gc.disable()
-    try:
-        run(argv, stdin=io.StringIO(), stdout=io.StringIO(), stderr=io.StringIO())
-        return gc.collect()
-    finally:
-        gc.enable()
+# counts in a child process, where no tracer of this one, such as a
+# coverage run's, adds garbage of its own
+UNREACHABLE = """
+    import gc, io, json, sys
+    from promisegraph.cli import run
+
+    def unreachable_after(argv):
+        \"\"\"Objects that one `run(argv)` left only reachable through cycles.\"\"\"
+        gc.collect()
+        gc.disable()
+        try:
+            run(argv, stdin=io.StringIO(), stdout=io.StringIO(), stderr=io.StringIO())
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    argv, warm, paths = json.loads(sys.argv[1]), sys.argv[2], sys.argv[3:]
+    unreachable_after(argv[:1] + [warm] + argv[1:])  # imports, caches
+    print(json.dumps([unreachable_after(argv[:1] + [path] + argv[1:]) for path in paths]))
+"""
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -188,10 +203,9 @@ def test_a_run_leaves_no_cyclic_garbage_that_grows_with_the_input(command, tmp_p
     for name, text in DOCUMENTS.items():
         paths[name] = tmp_path / (name + ".pml")
         paths[name].write_text(text, encoding="utf-8")
-    argv = COMMANDS[command]
-    unreachable_after(argv[:1] + [str(paths["corpus"])] + argv[1:])  # imports, caches
-    counts = {name: unreachable_after(argv[:1] + [str(path)] + argv[1:])
-              for name, path in paths.items()}
+    out = run_fresh(UNREACHABLE, json.dumps(COMMANDS[command]), paths["corpus"],
+                    *paths.values())
+    counts = dict(zip(paths, json.loads(out)))
     assert len(set(counts.values())) == 1, counts
 
 
