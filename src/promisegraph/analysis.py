@@ -19,7 +19,8 @@ from .model import (
     PromiseGraph,
     SourceSpan,
     Verdict,
-    _Watchers,
+    privy,
+    watchers,
 )
 
 
@@ -341,14 +342,13 @@ def single_source(graph: PromiseGraph, quorum: int = 2) -> List[Finding]:
 def scope_audit(graph: PromiseGraph) -> List[Finding]:
     """Flag promises whose declared impact set includes agents that cannot
     see the promise."""
-    watchers = _Watchers(graph)
     severity = SEVERITY[SCOPE_HIDING]
     findings: List[Finding] = []
     for promise in graph.promises:
         if not promise.body.affects:
             continue
         for agent in sorted(promise.body.affects):
-            if not watchers.privy(agent, promise):
+            if not privy(watchers(graph, agent), promise):
                 findings.append(Finding(
                     SCOPE_HIDING, severity,
                     (promise.id, agent),

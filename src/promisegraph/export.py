@@ -32,8 +32,9 @@ from .model import (
     Superagent,
     Verdict,
     expand_members,
+    privy,
     validate,
-    _Watchers,
+    watchers,
 )
 
 if TYPE_CHECKING:  # `export --format dot|json` never loads the analysis
@@ -283,8 +284,8 @@ def viewpoint(graph: PromiseGraph, observer: str) -> ViewpointGraph:
     if not graph.has_actor(observer):
         raise KeyError("unknown observer %r" % observer)
 
-    watchers = _Watchers(graph)
-    kept_promises = tuple(p for p in graph.promises if watchers.privy(observer, p))
+    seen = watchers(graph, observer)
+    kept_promises = tuple(p for p in graph.promises if privy(seen, p))
     kept_impositions = tuple(i for i in graph.impositions if observer in (i.imposer, i.imposee))
     kept_ids = {p.id for p in kept_promises}
     kept_assessments = tuple(a for a in graph.assessments if a.target in kept_ids)
@@ -292,9 +293,7 @@ def viewpoint(graph: PromiseGraph, observer: str) -> ViewpointGraph:
     referenced: Set[str] = {observer}
     for promise in kept_promises:
         referenced.add(promise.promiser)
-        referenced.update(promise.promisees)
-        referenced.update(promise.scope)
-        referenced.update(promise.body.affects)
+        referenced.update(promise.promisees, promise.scope, promise.body.affects)
         if promise.body.behalf_of is not None:
             referenced.add(promise.body.behalf_of)
     for imposition in kept_impositions:
@@ -327,7 +326,7 @@ def to_dot(graph: PromiseGraph) -> str:
 
     # cluster contents in declaration order; a name's cluster is the first
     # superagent that lists it (None: top level)
-    owner = {member: listed[0] for member, listed in _Watchers(graph).parents.items()}
+    owner = {member: listed[0] for member, listed in graph._memberships.items()}
     agents_of: Dict[Optional[str], List[Agent]] = {}
     for name, agent in graph.agents.items():
         agents_of.setdefault(owner.get(name), []).append(agent)

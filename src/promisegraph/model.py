@@ -152,8 +152,8 @@ class _GraphFields(NamedTuple):
 
 class PromiseGraph(_GraphFields):
     """Unlike its `NamedTuple` base it has a `__dict__`, for its indexes,
-    each derived from `promises` alone; `_replace` builds a new graph, with
-    no index yet."""
+    each derived from `promises` or `superagents` alone; `_replace` builds a
+    new graph, with no index yet."""
 
     def __new__(cls, agents: Optional[Mapping[str, Agent]] = None,
                 superagents: Optional[Mapping[str, Superagent]] = None, *rest, **named):
@@ -185,6 +185,15 @@ class PromiseGraph(_GraphFields):
                 if row is None:
                     row = index[agent, body.topic] = ([], [])
                 row[side].append(promise)
+        return index
+
+    @cached_property
+    def _memberships(self) -> Dict[str, List[str]]:
+        """Member -> the superagents that list it, in declaration order."""
+        index: Dict[str, List[str]] = {}
+        for name, superagent in self.superagents.items():
+            for member in superagent.members:
+                index.setdefault(member, []).append(name)
         return index
 
     def promise_by_id(self, promise_id: str) -> Promise:
@@ -223,33 +232,24 @@ def visible_to(graph: PromiseGraph, promise_id: str) -> FrozenSet[str]:
                                             *promise.scope}))
 
 
-class _Watchers(dict):
-    """name -> that name plus every superagent that lists it, transitively,
-    each walked up once on first lookup through one member -> superagents
-    index. `visible_to`'s rule, read upward: a name is privy to a promise iff
-    its watchers meet the promiser, the promisees or the scope."""
+def watchers(graph: PromiseGraph, name: str) -> Set[str]:
+    """Upward closure, the mirror of `expand_members`: the name plus every
+    superagent that lists it, transitively, in a fresh set; nothing is kept."""
+    memberships = graph._memberships
+    seen, stack = {name}, [name]
+    while stack:
+        for parent in memberships.get(stack.pop(), ()):
+            if parent not in seen:
+                seen.add(parent)
+                stack.append(parent)
+    return seen
 
-    def __init__(self, graph: PromiseGraph) -> None:
-        super().__init__()
-        self.parents: Dict[str, List[str]] = {}
-        for name, superagent in graph.superagents.items():
-            for member in superagent.members:
-                self.parents.setdefault(member, []).append(name)
 
-    def __missing__(self, name: str) -> Set[str]:
-        self[name] = seen = {name}
-        stack = [name]
-        while stack:
-            for parent in self.parents.get(stack.pop(), ()):
-                if parent not in seen:
-                    seen.add(parent)
-                    stack.append(parent)
-        return seen
-
-    def privy(self, name: str, promise: Promise) -> bool:
-        seen = self[name]
-        return (promise.promiser in seen or not seen.isdisjoint(promise.promisees)
-                or not seen.isdisjoint(promise.scope))
+def privy(seen: Set[str], promise: Promise) -> bool:
+    """`visible_to`'s rule, read upward: a name is privy to a promise iff its
+    watchers `seen` include the promiser, a promisee or a scope name."""
+    return (promise.promiser in seen or not seen.isdisjoint(promise.promisees)
+            or not seen.isdisjoint(promise.scope))
 
 
 def _superagent_cycles(graph: PromiseGraph) -> List[str]:

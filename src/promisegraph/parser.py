@@ -9,7 +9,7 @@ run the table.
 
 For a text of at least `PATTERN_MIN_CHARS` characters, `parse` first
 matches whole declarations from the top (`match_declarations`). Each
-template compiles to one pattern, on the first such text (`_patterns`),
+template compiles to one pattern when a long text needs it (`_patterns`),
 built from the lexer's rules for blanks, comments, words and string
 literals. A pattern and its builder accept exactly what the token parser
 accepts without a diagnostic, and make the same record with the same span.
@@ -398,7 +398,8 @@ def _compile(template: str) -> re.Pattern[str]:
 @cache
 def _patterns() -> Dict[str, Tuple[re.Pattern[str], Builder]]:
     """Each form's pattern and builder, keyed by the first two letters of
-    its keyword; compiled once, when the first long text needs them."""
+    its keyword. `cache` holds no lock, so threads whose first long texts
+    arrive together may each compile the table; the tables are equal."""
     return {keyword[:2]: (_compile(template), build)
             for keyword, (template, build) in FORMS.items()}
 

@@ -390,7 +390,9 @@ def augmenting_chain(length):
 @pytest.mark.parametrize("argv, depth", [
     (["check"], 1200), (["export", "--format", "dot"], 1200), (["check"], 10000),
     (["analyze", "--format", "json"], 10000), (["export", "--format", "json"], 10000),
-], ids=["argv0", "argv1", "check-10000", "analyze-json-10000", "export-json-10000"])
+    (["export", "--format", "json", "--viewpoint", "A"], 10000),
+], ids=["argv0", "argv1", "check-10000", "analyze-json-10000", "export-json-10000",
+        "viewpoint-json-10000"])
 def test_deeply_nested_superagents(tmp_path, argv, depth):
     path = tmp_path / "nested.pml"
     path.write_text(nested_superagents(depth), encoding="utf-8")
@@ -398,6 +400,12 @@ def test_deeply_nested_superagents(tmp_path, argv, depth):
     assert (code, err) == (0, "")
     if argv == ["export", "--format", "dot"]:
         assert out.count("subgraph") == depth
+    elif "--viewpoint" in argv:
+        # `watchers` walks up through all `depth` superagents; with no promise
+        # to see, the view holds A alone
+        view = json.loads(out)
+        assert [agent["id"] for agent in view["agents"]] == ["A"]
+        assert view["superagents"] == []
     elif argv[0] == "export":
         assert len(json.loads(out)["superagents"]) == depth
     elif argv[0] == "analyze":

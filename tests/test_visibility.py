@@ -1,11 +1,13 @@
 """Who sees which promise, and which superagents sit on a membership cycle.
 
-`viewpoint` and `scope_audit` walk up from a name once (`_Watchers`), and
-`_superagent_cycles` is Tarjan's strongly connected components. The earlier
-code is kept here verbatim as the reference: it rebuilt each promise's
-downward member closure to test one name, and it found cycles by copying
-the depth-first trail at each back edge. Both are compared with the new
-code on random, cyclic, deep, wide and diamond-shaped graphs.
+`viewpoint` walks up from its observer once, and `scope_audit` once per
+(promise, affected agent) pair, keeping nothing (`model.watchers`); both
+test `model.privy`. `_superagent_cycles` is Tarjan's strongly connected
+components. The earlier code is kept here verbatim as the reference: it
+rebuilt each promise's downward member closure to test one name, and it
+found cycles by copying the depth-first trail at each back edge. Both are
+compared with the new code on random, cyclic, deep, wide and
+diamond-shaped graphs.
 """
 
 import random
